@@ -137,9 +137,10 @@ func runE23(cfg RunConfig) (*Table, error) {
 	// path: its batch column certifies the tier machinery didn't tax the
 	// uniform fast path (gate: within 10% of the committed
 	// batch_ns_per_query/1000 baselines). The accuracy stores above use
-	// DistinctDegrees, whose per-candidate KMV pass dominates the
-	// degree-weighted measures — compare tiered only against `uniform`,
-	// which pays the same cost.
+	// DistinctDegrees: the first query after a vertex changes pays its
+	// k-register KMV pass, later ones read the per-vertex degree memo
+	// (batchNsPerCand warms first, so its columns time warm memos) —
+	// compare tiered only against `uniform`, which runs the same way.
 	base, err := linkpred.NewConcurrent(linkpred.Config{K: 64, Seed: cfg.Seed + 11}, nShards)
 	if err != nil {
 		return nil, err

@@ -372,6 +372,7 @@ func (s *Sharded) applyShardBatch(sc *batchScratch, shard int) {
 			}
 		}
 		group := sc.ownerGroup.order[sc.ownerGroup.starts[o]:sc.ownerGroup.starts[o+1]]
+		vs.deg.invalidate()
 		if st.tiers != nil {
 			// Tiered stores interleave count/promote/fold per half-edge in
 			// stream order (the stable owner sort preserves it); dup folding
@@ -535,10 +536,12 @@ func (s *ShardedDirected) applyShardBatch(sc *batchScratch, shard int) {
 					vs.outArr++
 					st.promoteOutIfDue(vs)
 					st.out.update(vs.outSlot, sc.distinct[h.hashIdx], nbrHashes)
+					vs.outDeg.invalidate()
 				} else {
 					vs.inArr++
 					st.promoteInIfDue(vs)
 					st.in.update(vs.inSlot, sc.distinct[h.hashIdx], nbrHashes)
+					vs.inDeg.invalidate()
 				}
 			}
 			continue
@@ -549,9 +552,11 @@ func (s *ShardedDirected) applyShardBatch(sc *batchScratch, shard int) {
 			if h.out {
 				st.out.update(vs.outSlot, sc.distinct[h.hashIdx], nbrHashes)
 				vs.outArr += int64(h.mult)
+				vs.outDeg.invalidate()
 			} else {
 				st.in.update(vs.inSlot, sc.distinct[h.hashIdx], nbrHashes)
 				vs.inArr += int64(h.mult)
+				vs.inDeg.invalidate()
 			}
 		}
 	}

@@ -40,6 +40,7 @@ type DirectedStore struct {
 type dirVertexState struct {
 	outSlot, inSlot int32
 	outArr, inArr   int64
+	outDeg, inDeg   degMemo // per-side KMV degree memos (see degMemo)
 }
 
 // NewDirectedStore returns an empty directed store. It returns an error
@@ -101,6 +102,8 @@ func (s *DirectedStore) ProcessArc(e stream.Edge) {
 		sv.inArr++
 		s.promoteInIfDue(sv)
 		s.in.update(sv.inSlot, e.U, s.hashBuf)
+		su.outDeg.invalidate()
+		sv.inDeg.invalidate()
 		s.arcs++
 		return
 	}
@@ -110,6 +113,8 @@ func (s *DirectedStore) ProcessArc(e stream.Edge) {
 	s.in.update(sv.inSlot, e.U, s.hashBuf)
 	su.outArr++
 	sv.inArr++
+	su.outDeg.invalidate()
+	sv.inDeg.invalidate()
 	s.arcs++
 }
 
@@ -196,7 +201,7 @@ func (s *DirectedStore) OutDegree(u uint64) float64 {
 	if st == nil {
 		return 0
 	}
-	return s.sideDegree(s.out.regs(st.outSlot), st.outArr)
+	return s.sideDegree(&st.outDeg, s.out.regs(st.outSlot), st.outArr)
 }
 
 // InDegree returns the in-degree estimate of u.
@@ -205,17 +210,19 @@ func (s *DirectedStore) InDegree(u uint64) float64 {
 	if st == nil {
 		return 0
 	}
-	return s.sideDegree(s.in.regs(st.inSlot), st.inArr)
+	return s.sideDegree(&st.inDeg, s.in.regs(st.inSlot), st.inArr)
 }
 
-func (s *DirectedStore) sideDegree(vals []uint64, arrivals int64) float64 {
+// sideDegree is one side's degree under the configured DegreeMode; memo
+// is that side's KMV memo, vals and arrivals its current state.
+func (s *DirectedStore) sideDegree(memo *degMemo, vals []uint64, arrivals int64) float64 {
 	if arrivals == 0 {
 		return 0
 	}
 	if s.cfg.Degrees == DegreeArrivals {
 		return float64(arrivals)
 	}
-	return kmvDistinct(vals, arrivals)
+	return memo.distinct(vals, arrivals)
 }
 
 // pairQuery is the directed side of the measure kernel (see
@@ -232,8 +239,8 @@ func (s *DirectedStore) pairQuery(u, v uint64, collect bool, idBuf []uint64) (ma
 	inVals := s.in.regs(sv.inSlot)
 	// Degrees use each side's full span; the match comparison runs over
 	// the shared prefix (min-k prefix property, see estimators.go).
-	du = s.sideDegree(outVals, su.outArr)
-	dv = s.sideDegree(inVals, sv.inArr)
+	du = s.sideDegree(&su.outDeg, outVals, su.outArr)
+	dv = s.sideDegree(&sv.inDeg, inVals, sv.inArr)
 	if len(inVals) < len(outVals) {
 		outVals = outVals[:len(inVals)]
 	}

@@ -111,6 +111,7 @@ type dynVertexState struct {
 	inserts  int64
 	ents     []dynEntry
 	meta     []dynRegMeta
+	deg      degMemo // KMV distinct-degree memo; cleared on insert and delete
 }
 
 // DynamicStore is the deletion-capable sketch store. It implements the
@@ -300,6 +301,8 @@ func (s *DynamicStore) ProcessEdge(e stream.Edge) {
 	s.insertNeighbor(sv, s.hashU, e.U)
 	su.arrivals++
 	sv.arrivals++
+	su.deg.invalidate()
+	sv.deg.invalidate()
 	s.edges++
 }
 
@@ -457,6 +460,8 @@ func (s *DynamicStore) DeleteEdge(e stream.Edge) bool {
 	s.removeNeighbor(sv, s.hashU, e.U)
 	su.arrivals--
 	sv.arrivals--
+	su.deg.invalidate()
+	sv.deg.invalidate()
 	s.edges--
 	return true
 }
@@ -506,10 +511,13 @@ func (s *DynamicStore) degree(st *dynVertexState) float64 {
 	if s.cfg.Degrees == DegreeArrivals {
 		return float64(st.arrivals)
 	}
+	if d, ok := st.deg.cached(); ok {
+		return d // skip materialising the registers
+	}
 	bufp := dynValsPool.Get().(*[]uint64)
 	vals := grow(*bufp, st.k())
 	s.fillRegs(st, vals)
-	d := kmvDistinct(vals, st.arrivals)
+	d := st.deg.distinct(vals, st.arrivals)
 	*bufp = vals
 	dynValsPool.Put(bufp)
 	return d

@@ -148,5 +148,5 @@ func (s *SketchStore) EstimateAdamicAdarBiased(u, v uint64) float64 {
 	if su == nil || sv == nil {
 		return 0
 	}
-	return estimateAA(su.biased, sv.biased, s.aaWeight)
+	return estimateAA(su.opt.biased, sv.opt.biased, s.aaWeight)
 }

@@ -132,7 +132,7 @@ func (s *SketchStore) Save(w io.Writer) error {
 		if err := writeU64(uint64(st.arrivals)); err != nil {
 			return fmt.Errorf("core: save vertex %d arrivals: %w", id, err)
 		}
-		if err := writeU64(math.Float64bits(st.triangles)); err != nil {
+		if err := writeU64(math.Float64bits(st.triangleShare())); err != nil {
 			return fmt.Errorf("core: save vertex %d triangles: %w", id, err)
 		}
 		for _, v := range s.bank.regs(st.slot) {
@@ -146,10 +146,10 @@ func (s *SketchStore) Save(w io.Writer) error {
 			}
 		}
 		if s.cfg.EnableBiased {
-			if err := writeU32(uint32(len(st.biased.entries))); err != nil {
+			if err := writeU32(uint32(len(st.opt.biased.entries))); err != nil {
 				return fmt.Errorf("core: save vertex %d biased count: %w", id, err)
 			}
-			for _, e := range st.biased.entries {
+			for _, e := range st.opt.biased.entries {
 				if err := writeU64(e.id); err != nil {
 					return fmt.Errorf("core: save vertex %d biased ids: %w", id, err)
 				}
@@ -261,7 +261,14 @@ func loadSketchStore(rd *binReader) (*SketchStore, error) {
 		if err != nil {
 			return nil, rd.fail(fmt.Sprintf("vertex %d triangles", id), err)
 		}
-		st.triangles = math.Float64frombits(vertexTri)
+		if vertexTri != 0 {
+			// Only triangle-tracking stores write nonzero shares, but any
+			// accepted image must load→save byte-identically.
+			if st.opt == nil {
+				st.opt = &vertexOpt{}
+			}
+			st.opt.triangles = math.Float64frombits(vertexTri)
+		}
 		// Promotion is a pure function of the arrival count, so the
 		// loaded vertex lands in the same tier it occupied at save time
 		// and its spans below have exactly the record's width.
@@ -289,7 +296,7 @@ func loadSketchStore(rd *binReader) (*SketchStore, error) {
 			if int(n) > cfg.K {
 				return nil, rd.corrupt("vertex %d biased sketch has %d entries, max %d", id, n, cfg.K)
 			}
-			st.biased.entries = st.biased.entries[:0]
+			st.opt.biased.entries = st.opt.biased.entries[:0]
 			for j := uint32(0); j < n; j++ {
 				eid, err := rd.u64()
 				if err != nil {
@@ -299,7 +306,7 @@ func loadSketchStore(rd *binReader) (*SketchStore, error) {
 				if err != nil {
 					return nil, rd.fail(fmt.Sprintf("vertex %d biased ranks", id), err)
 				}
-				st.biased.entries = append(st.biased.entries, biasedEntry{id: eid, rank: math.Float64frombits(bits)})
+				st.opt.biased.entries = append(st.opt.biased.entries, biasedEntry{id: eid, rank: math.Float64frombits(bits)})
 			}
 		}
 	}

@@ -78,7 +78,8 @@ type queryScratch struct {
 
 	// Shard grouping (stage 3) and per-distinct resolution + scores
 	// (stage 4). slots[c] is candidate c's bank slot (-1 when the vertex
-	// is unknown), arrs[c] its arrival counter. The resolve pass's
+	// is unknown), arrs[c] its arrival counter and degs[c] its (scored
+	// side's) KMV degree memo. The resolve pass's
 	// cache-warming loads are kept observable through the package-level
 	// prefetchSink (batch.go) — shard workers share this scratch, so a
 	// plain field here would be a write-write race.
@@ -86,6 +87,7 @@ type queryScratch struct {
 	group     grouping
 	slots     []int32
 	arrs      []int64
+	degs      []*degMemo
 	scores    []float64
 }
 
@@ -253,6 +255,7 @@ func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64
 	needRegs := !(m == QueryPreferentialAttachment && cfg.Degrees == DegreeArrivals)
 	sc.slots = grow(sc.slots, nd)
 	sc.arrs = grow(sc.arrs, nd)
+	sc.degs = grow(sc.degs, nd)
 	sc.scores = grow(sc.scores, nd)
 	complete := forEachShardDone(nShards, sc.group.starts, done, func(shard int) {
 		st := s.shards[shard]
@@ -282,6 +285,7 @@ func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64
 			}
 			sc.slots[c] = sv.slot
 			sc.arrs[c] = sv.arrivals
+			sc.degs[c] = &sv.deg
 			regs := st.bank.regs(sv.slot)
 			for j := 0; j < len(regs); j += 8 {
 				warm += regs[j]
@@ -300,7 +304,7 @@ func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64
 				if cfg.Degrees == DegreeArrivals {
 					dv = float64(sc.arrs[c])
 				} else {
-					dv = kmvDistinct(st.bank.regs(slot), sc.arrs[c])
+					dv = sc.degs[c].distinct(st.bank.regs(slot), sc.arrs[c])
 				}
 			}
 			if m == QueryPreferentialAttachment {
@@ -375,7 +379,7 @@ func (s *ShardedDirected) ScoreBatchCancel(m QueryMeasure, u uint64, candidates 
 		sc.srcIDs = grow(sc.srcIDs, k)
 		copy(sc.srcVals, srcRegs)
 		copy(sc.srcIDs, st.out.argmins(su.outSlot))
-		srcDeg = st.sideDegree(srcRegs, su.outArr)
+		srcDeg = st.sideDegree(&su.outDeg, srcRegs, su.outArr)
 	}
 	s.mus[a].RUnlock()
 	if !srcKnown {
@@ -400,6 +404,7 @@ func (s *ShardedDirected) ScoreBatchCancel(m QueryMeasure, u uint64, candidates 
 	sc.groupByShard(nShards)
 	sc.slots = grow(sc.slots, nd)
 	sc.arrs = grow(sc.arrs, nd)
+	sc.degs = grow(sc.degs, nd)
 	sc.scores = grow(sc.scores, nd)
 	complete := forEachShardDone(nShards, sc.group.starts, done, func(shard int) {
 		st := s.shards[shard]
@@ -415,6 +420,7 @@ func (s *ShardedDirected) ScoreBatchCancel(m QueryMeasure, u uint64, candidates 
 			}
 			sc.slots[c] = sv.inSlot
 			sc.arrs[c] = sv.inArr
+			sc.degs[c] = &sv.inDeg
 			regs := st.in.regs(sv.inSlot)
 			for j := 0; j < len(regs); j += 8 {
 				warm += regs[j]
@@ -429,14 +435,9 @@ func (s *ShardedDirected) ScoreBatchCancel(m QueryMeasure, u uint64, candidates 
 				continue
 			}
 			regs := st.in.regs(slot)
-			// Candidate in-degree, replicating sideDegree.
 			var dIn float64
-			if m != QueryJaccard && sc.arrs[c] != 0 {
-				if cfg.Degrees == DegreeArrivals {
-					dIn = float64(sc.arrs[c])
-				} else {
-					dIn = kmvDistinct(regs, sc.arrs[c])
-				}
+			if m != QueryJaccard {
+				dIn = st.sideDegree(sc.degs[c], regs, sc.arrs[c])
 			}
 			if m == QueryPreferentialAttachment {
 				// No register scan needed: the score is the degree product.

@@ -126,6 +126,7 @@ func (s *Sharded) shardOf(u uint64) int {
 // write lock; hashing happens outside it.
 func (st *SketchStore) applyHalfEdge(owner, nbr uint64, nbrHashes []uint64) {
 	vs := st.state(owner)
+	vs.deg.invalidate()
 	if st.tiers != nil {
 		// Same per-half-edge order as the tiered ProcessEdge: count,
 		// promote, fold (see that method for why it must be this order).

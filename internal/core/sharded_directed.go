@@ -112,19 +112,23 @@ func (st *DirectedStore) applyHalfArc(owner, nbr uint64, out bool, nbrHashes []u
 			vs.outArr++
 			st.promoteOutIfDue(vs)
 			st.out.update(vs.outSlot, nbr, nbrHashes)
+			vs.outDeg.invalidate()
 		} else {
 			vs.inArr++
 			st.promoteInIfDue(vs)
 			st.in.update(vs.inSlot, nbr, nbrHashes)
+			vs.inDeg.invalidate()
 		}
 		return
 	}
 	if out {
 		st.out.update(vs.outSlot, nbr, nbrHashes)
 		vs.outArr++
+		vs.outDeg.invalidate()
 	} else {
 		st.in.update(vs.inSlot, nbr, nbrHashes)
 		vs.inArr++
+		vs.inDeg.invalidate()
 	}
 }
 
@@ -205,8 +209,8 @@ func (s *ShardedDirected) pairQuery(u, v uint64, collect bool, idBuf []uint64) (
 	}
 	outVals := s.shards[a].out.regs(su.outSlot)
 	inVals := s.shards[b].in.regs(sv.inSlot)
-	dOut = s.shards[a].sideDegree(outVals, su.outArr)
-	dIn = s.shards[b].sideDegree(inVals, sv.inArr)
+	dOut = s.shards[a].sideDegree(&su.outDeg, outVals, su.outArr)
+	dIn = s.shards[b].sideDegree(&sv.inDeg, inVals, sv.inArr)
 	// Cross-tier pairs compare over the shared register prefix (min-k
 	// prefix property, see estimators.go).
 	if len(inVals) < len(outVals) {

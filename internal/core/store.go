@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"linkpred/internal/hashing"
 	"linkpred/internal/stream"
@@ -160,14 +161,30 @@ func tierFor(tiers []Tier, count int64) int {
 
 // vertexState is the constant-size per-vertex state. The MinHash
 // registers themselves live in the store's register bank (see regBank in
-// sketch.go); slot indexes the vertex's k-span there.
+// sketch.go); slot indexes the vertex's k-span there. The optional
+// extras sit behind one pointer so the state stays 32 bytes: half a
+// cache line, which ingest and the query resolve pass touch per vertex.
 type vertexState struct {
 	slot     int32
 	arrivals int64
-	biased   *biasedSketch // nil unless Config.EnableBiased
+	deg      degMemo    // KMV distinct-degree memo; cleared on every apply
+	opt      *vertexOpt // nil unless Config.EnableBiased or TrackTriangles
+}
+
+// vertexOpt is the per-vertex state of the optional sketches.
+type vertexOpt struct {
+	biased *biasedSketch // nil unless Config.EnableBiased
 	// triangles accumulates this vertex's share of closed triangles when
 	// Config.TrackTriangles is set (see triangles.go).
 	triangles float64
+}
+
+// triangleShare returns st's triangle accumulator (0 without one).
+func (st *vertexState) triangleShare() float64 {
+	if st.opt == nil {
+		return 0
+	}
+	return st.opt.triangles
 }
 
 // SketchStore holds the per-vertex sketches for a graph stream and
@@ -284,6 +301,8 @@ func (s *SketchStore) ProcessEdge(e stream.Edge) {
 		sv.arrivals++
 		s.promoteIfDue(sv)
 		s.bank.update(sv.slot, e.U, s.hashBuf)
+		su.deg.invalidate()
+		sv.deg.invalidate()
 		s.edges++
 		return
 	}
@@ -295,13 +314,15 @@ func (s *SketchStore) ProcessEdge(e stream.Edge) {
 
 	su.arrivals++
 	sv.arrivals++
+	su.deg.invalidate()
+	sv.deg.invalidate()
 	s.edges++
 
 	if s.cfg.EnableBiased {
 		// Insert each endpoint into the other's biased sketch using the
 		// degree known *after* this arrival (see biased.go for why).
-		su.biased.insert(e.V, s.rank(e.V))
-		sv.biased.insert(e.U, s.rank(e.U))
+		su.opt.biased.insert(e.V, s.rank(e.V))
+		sv.opt.biased.insert(e.U, s.rank(e.U))
 	}
 }
 
@@ -348,8 +369,11 @@ func (s *SketchStore) state(u uint64) *vertexState {
 	st := s.vertices[u]
 	if st == nil {
 		st = &vertexState{slot: s.bank.alloc()}
+		if s.cfg.EnableBiased || s.cfg.TrackTriangles {
+			st.opt = &vertexOpt{}
+		}
 		if s.cfg.EnableBiased {
-			st.biased = newBiasedSketch(s.cfg.K)
+			st.opt.biased = newBiasedSketch(s.cfg.K)
 		}
 		s.vertices[u] = st
 	}
@@ -388,7 +412,44 @@ func (s *SketchStore) degree(st *vertexState) float64 {
 	if s.cfg.Degrees == DegreeArrivals {
 		return float64(st.arrivals)
 	}
-	return kmvDistinct(s.bank.regs(st.slot), st.arrivals)
+	return st.deg.distinct(s.bank.regs(st.slot), st.arrivals)
+}
+
+// degMemo caches one sketch's KMV distinct-degree estimate (DESIGN.md
+// §2.6) as float bits, 0 meaning stale. The estimate is a pure function
+// of the sketch's registers and arrival counter, so the memo is derived
+// state: never persisted, and every writer that changes either input
+// clears it under the store's write lock (or in the single writer).
+// Readers fill it under a read lock; concurrent fills store identical
+// bits, which the atomic keeps race-free. A computed estimate of 0 (a
+// sketch with an empty register) is simply never cached.
+type degMemo struct{ bits atomic.Uint64 }
+
+// distinct returns kmvDistinct(vals, arrivals), computing it only when
+// the memo is stale. vals and arrivals must be the sketch's current
+// state.
+func (m *degMemo) distinct(vals []uint64, arrivals int64) float64 {
+	if d, ok := m.cached(); ok {
+		return d
+	}
+	d := kmvDistinct(vals, arrivals)
+	m.bits.Store(math.Float64bits(d))
+	return d
+}
+
+// cached returns the memoized estimate, or ok=false when it is stale.
+func (m *degMemo) cached() (float64, bool) {
+	b := m.bits.Load()
+	return math.Float64frombits(b), b != 0
+}
+
+// invalidate marks the memo stale. Writers call it on every apply; the
+// load skips the store (a locked write on amd64) when the memo is
+// already stale, which it is on every ingest-only hot path.
+func (m *degMemo) invalidate() {
+	if m.bits.Load() != 0 {
+		m.bits.Store(0)
+	}
 }
 
 // kmvDistinct estimates the number of distinct items folded into the
@@ -438,7 +499,7 @@ func (s *SketchStore) MemoryBytes() int {
 	total := s.bank.memoryBytes() + vertexOverhead*len(s.vertices)
 	if s.cfg.EnableBiased {
 		for _, st := range s.vertices {
-			total += st.biased.memoryBytes()
+			total += st.opt.biased.memoryBytes()
 		}
 	}
 	return total

@@ -41,7 +41,7 @@ func (s *SketchStore) EstimateVertexTriangles(u uint64) float64 {
 	if st == nil {
 		return 0
 	}
-	return st.triangles
+	return st.triangleShare()
 }
 
 // EstimateLocalClustering returns the estimated local clustering
@@ -56,7 +56,7 @@ func (s *SketchStore) EstimateLocalClustering(u uint64) float64 {
 	if d < 2 {
 		return 0
 	}
-	c := st.triangles / (d * (d - 1) / 2)
+	c := st.triangleShare() / (d * (d - 1) / 2)
 	if c < 0 {
 		return 0
 	}
@@ -91,12 +91,12 @@ func (s *SketchStore) addTriangles(su, sv *vertexState) {
 	j := float64(matched) / float64(s.cfg.K)
 	cn := j / (1 + j) * (s.degree(su) + s.degree(sv))
 	s.triangles += cn
-	su.triangles += cn
-	sv.triangles += cn
+	su.opt.triangles += cn
+	sv.opt.triangles += cn
 	share := cn / float64(matched)
 	for _, w := range midpoints {
 		if st := s.vertices[w]; st != nil {
-			st.triangles += share
+			st.opt.triangles += share
 		}
 	}
 }
