@@ -474,7 +474,7 @@ func run(args []string, stdout io.Writer, queries io.Reader) error {
 		r := mon.Report(5)
 		fmt.Fprintf(stdout, "stream profile: %s (profile memory %.2f MiB)\n", r, float64(mon.MemoryBytes())/(1<<20))
 		for i, h := range r.TopVertices {
-			fmt.Fprintf(stdout, "  top vertex %d: id %d, ~%d arrivals (±%d)\n", i+1, h.Key, h.Count, h.Err)
+			fmt.Fprintf(stdout, "  top vertex %d: id %d, ~%d arrivals (±%d)\n", i+1, h.ID, h.Count, h.Err)
 		}
 	}
 

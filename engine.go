@@ -1,6 +1,7 @@
 package linkpred
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -24,6 +25,12 @@ type Engine interface {
 	Score(m Measure, u, v uint64) (float64, error)
 	ScoreBatch(m Measure, u uint64, candidates []uint64) ([]float64, error)
 	TopK(m Measure, u uint64, candidates []uint64, k int) ([]Candidate, error)
+	// The Ctx variants propagate ctx's deadline into the batched paths
+	// (see ctx.go); the plain forms above are them under
+	// context.Background().
+	ObserveEdgesCtx(ctx context.Context, edges []Edge) error
+	ScoreBatchCtx(ctx context.Context, m Measure, u uint64, candidates []uint64) ([]float64, error)
+	TopKCtx(ctx context.Context, m Measure, u uint64, candidates []uint64, k int) ([]Candidate, error)
 	Degree(u uint64) float64
 	Seen(u uint64) bool
 	NumVertices() int
@@ -81,9 +88,7 @@ func (s *Synchronized) ObserveEdge(e Edge) {
 
 // ObserveEdges folds a batch of edges under one write lock acquisition.
 func (s *Synchronized) ObserveEdges(edges []Edge) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inner.ObserveEdges(edges)
+	_ = s.ObserveEdgesCtx(context.Background(), edges) // Background never cancels: no error
 }
 
 // Score returns the wrapped engine's estimate under the read lock.
@@ -95,16 +100,12 @@ func (s *Synchronized) Score(m Measure, u, v uint64) (float64, error) {
 
 // ScoreBatch scores a batch under one read lock acquisition.
 func (s *Synchronized) ScoreBatch(m Measure, u uint64, candidates []uint64) ([]float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.inner.ScoreBatch(m, u, candidates)
+	return s.ScoreBatchCtx(context.Background(), m, u, candidates)
 }
 
 // TopK ranks a batch under one read lock acquisition.
 func (s *Synchronized) TopK(m Measure, u uint64, candidates []uint64, k int) ([]Candidate, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.inner.TopK(m, u, candidates, k)
+	return s.TopKCtx(context.Background(), m, u, candidates, k)
 }
 
 // Degree returns the degree estimate under the read lock.

@@ -1,6 +1,7 @@
 package linkpred
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -88,15 +89,7 @@ func (f *facade[S]) ObserveEdge(e Edge) {
 // register updates are pointwise minima, which commute and are
 // idempotent).
 func (f *facade[S]) ObserveEdges(edges []Edge) {
-	buf := toStreamEdges(edges)
-	if bi, ok := any(f.store).(core.BatchIngester); ok {
-		bi.IngestBatch(*buf)
-	} else {
-		for _, e := range *buf {
-			f.store.Ingest(e)
-		}
-	}
-	putStreamEdges(buf)
+	_ = f.ObserveEdgesCtx(context.Background(), edges) // Background never cancels: no error
 }
 
 // Jaccard returns the estimated Jaccard coefficient of (u, v) in
@@ -157,30 +150,6 @@ func (f *facade[S]) Score(m Measure, u, v uint64) (float64, error) {
 	return f.store.Estimate(qm, u, v)
 }
 
-// scoreBatchCore scores candidates through the store's batched path
-// when it has one (core.BatchScorer), falling back to per-pair
-// Estimate calls otherwise. Both produce bit-identical scores on a
-// quiescent store; the batch path amortizes locks, the source's sketch
-// resolution, and the weighted measures' midpoint degree lookups over
-// the whole batch.
-func (f *facade[S]) scoreBatchCore(qm core.QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
-	if bs, ok := any(f.store).(core.BatchScorer); ok {
-		return bs.ScoreBatch(qm, u, candidates, out)
-	}
-	if cap(out) < len(candidates) {
-		out = make([]float64, len(candidates))
-	}
-	out = out[:len(candidates)]
-	for i, v := range candidates {
-		s, err := f.store.Estimate(qm, u, v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // ScoreBatch scores every candidate against u under the given measure
 // in one batched pass, returning scores aligned with candidates. It is
 // equivalent to calling Score per pair but computes shared work — the
@@ -190,11 +159,7 @@ func (f *facade[S]) scoreBatchCore(qm core.QueryMeasure, u uint64, candidates []
 // candidate equal to u is scored like any other pair (TopK is the
 // ranking layer that skips the source and deduplicates).
 func (f *facade[S]) ScoreBatch(m Measure, u uint64, candidates []uint64) ([]float64, error) {
-	qm, err := queryMeasure(m)
-	if err != nil {
-		return nil, err
-	}
-	return f.scoreBatchCore(qm, u, candidates, nil)
+	return f.ScoreBatchCtx(context.Background(), m, u, candidates)
 }
 
 // TopK scores every candidate vertex against u under the given measure
@@ -207,13 +172,7 @@ func (f *facade[S]) ScoreBatch(m Measure, u uint64, candidates []uint64) ([]floa
 // cannot enumerate two-hop neighborhoods itself); typical callers track
 // recently active vertices or a per-community candidate pool.
 func (f *facade[S]) TopK(m Measure, u uint64, candidates []uint64, k int) ([]Candidate, error) {
-	qm, err := queryMeasure(m)
-	if err != nil {
-		return nil, err
-	}
-	return topKBatch(u, candidates, k, func(dedup []uint64, scores []float64) ([]float64, error) {
-		return f.scoreBatchCore(qm, u, dedup, scores)
-	})
+	return f.TopKCtx(context.Background(), m, u, candidates, k)
 }
 
 // Degree returns the predictor's degree estimate for u (exact arrival

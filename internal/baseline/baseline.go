@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"linkpred/internal/core"
 	"linkpred/internal/exact"
 	"linkpred/internal/graph"
 	"linkpred/internal/rng"
@@ -25,18 +26,21 @@ import (
 )
 
 // System is a streaming link-prediction system: it consumes edges one at
-// a time and answers the three target-measure queries at any point.
+// a time and answers measure queries at any point.
 type System interface {
 	// ProcessEdge folds one stream edge into the system's state.
 	ProcessEdge(e stream.Edge)
-	// EstimateJaccard estimates the Jaccard coefficient of (u, v).
-	EstimateJaccard(u, v uint64) float64
-	// EstimateCommonNeighbors estimates |N(u) ∩ N(v)|.
-	EstimateCommonNeighbors(u, v uint64) float64
-	// EstimateAdamicAdar estimates the Adamic–Adar index of (u, v).
-	EstimateAdamicAdar(u, v uint64) float64
+	// Estimate estimates measure m for the pair (u, v). Every system
+	// models the paper's three targets (Jaccard, common neighbors,
+	// Adamic–Adar); a measure the system does not model is an error.
+	Estimate(m core.QueryMeasure, u, v uint64) (float64, error)
 	// MemoryBytes reports the system's current payload memory.
 	MemoryBytes() int
+}
+
+// errUnmodeled reports a measure a baseline system has no estimator for.
+func errUnmodeled(system string, m core.QueryMeasure) error {
+	return fmt.Errorf("baseline: %s system does not model %v", system, m)
 }
 
 // Exact is the unbounded-memory reference System: a full adjacency graph.
@@ -50,16 +54,18 @@ func NewExact() *Exact { return &Exact{g: graph.New()} }
 // ProcessEdge implements System.
 func (e *Exact) ProcessEdge(ed stream.Edge) { e.g.AddEdge(ed.U, ed.V) }
 
-// EstimateJaccard implements System (exactly).
-func (e *Exact) EstimateJaccard(u, v uint64) float64 { return exact.Jaccard(e.g, u, v) }
-
-// EstimateCommonNeighbors implements System (exactly).
-func (e *Exact) EstimateCommonNeighbors(u, v uint64) float64 {
-	return exact.CommonNeighbors(e.g, u, v)
+// Estimate implements System, exactly, for the three target measures.
+func (e *Exact) Estimate(m core.QueryMeasure, u, v uint64) (float64, error) {
+	switch m {
+	case core.QueryJaccard:
+		return exact.Jaccard(e.g, u, v), nil
+	case core.QueryCommonNeighbors:
+		return exact.CommonNeighbors(e.g, u, v), nil
+	case core.QueryAdamicAdar:
+		return exact.AdamicAdar(e.g, u, v), nil
+	}
+	return 0, errUnmodeled("exact", m)
 }
-
-// EstimateAdamicAdar implements System (exactly).
-func (e *Exact) EstimateAdamicAdar(u, v uint64) float64 { return exact.AdamicAdar(e.g, u, v) }
 
 // MemoryBytes implements System.
 func (e *Exact) MemoryBytes() int { return e.g.MemoryBytes() }
@@ -147,38 +153,37 @@ func (r *Reservoir) rate() float64 {
 	return p
 }
 
-// EstimateCommonNeighbors implements System: subgraph count scaled by
-// 1/p².
-func (r *Reservoir) EstimateCommonNeighbors(u, v uint64) float64 {
+// Estimate implements System for the three target measures, on the
+// sampled subgraph:
+//
+//   - common neighbors: the subgraph count scaled by 1/p²;
+//   - Jaccard: ĈN / (d̂(u) + d̂(v) − ĈN) with degrees scaled by 1/p,
+//     clamped to [0, 1] (scaled counts can transiently violate the set
+//     identity);
+//   - Adamic–Adar: Σ over sampled common neighbors of 1/ln(d̂(w)),
+//     scaled by 1/p², with the sampled degree scaled by 1/p and clamped
+//     at 2 so the logarithm stays positive.
+func (r *Reservoir) Estimate(m core.QueryMeasure, u, v uint64) (float64, error) {
 	p := r.rate()
-	return float64(r.g.CommonNeighbors(u, v)) / (p * p)
-}
-
-// EstimateJaccard implements System: ĈN / (d̂(u) + d̂(v) − ĈN) with
-// degrees scaled by 1/p. The result is clamped to [0, 1] (scaled counts
-// can transiently violate the set identity).
-func (r *Reservoir) EstimateJaccard(u, v uint64) float64 {
-	p := r.rate()
-	cn := float64(r.g.CommonNeighbors(u, v)) / (p * p)
-	union := float64(r.g.Degree(u))/p + float64(r.g.Degree(v))/p - cn
-	if union <= 0 {
-		return 0
+	switch m {
+	case core.QueryCommonNeighbors:
+		return float64(r.g.CommonNeighbors(u, v)) / (p * p), nil
+	case core.QueryJaccard:
+		cn := float64(r.g.CommonNeighbors(u, v)) / (p * p)
+		union := float64(r.g.Degree(u))/p + float64(r.g.Degree(v))/p - cn
+		if union <= 0 {
+			return 0, nil
+		}
+		return math.Max(0, math.Min(1, cn/union)), nil
+	case core.QueryAdamicAdar:
+		sum := 0.0
+		for _, w := range r.g.CommonNeighborSlice(u, v) {
+			d := math.Max(float64(r.g.Degree(w))/p, 2)
+			sum += 1 / math.Log(d)
+		}
+		return sum / (p * p), nil
 	}
-	j := cn / union
-	return math.Max(0, math.Min(1, j))
-}
-
-// EstimateAdamicAdar implements System: Σ over sampled common neighbors
-// of 1/ln(d̂(w)), scaled by 1/p², with the sampled degree scaled by 1/p
-// and clamped at 2 so the logarithm stays positive.
-func (r *Reservoir) EstimateAdamicAdar(u, v uint64) float64 {
-	p := r.rate()
-	sum := 0.0
-	for _, w := range r.g.CommonNeighborSlice(u, v) {
-		d := math.Max(float64(r.g.Degree(w))/p, 2)
-		sum += 1 / math.Log(d)
-	}
-	return sum / (p * p)
+	return 0, errUnmodeled("reservoir", m)
 }
 
 // MemoryBytes implements System: the sampled subgraph, the slot array and

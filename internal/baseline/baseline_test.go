@@ -18,6 +18,16 @@ var (
 	_ System = (*core.SketchStore)(nil)
 )
 
+// est is Estimate for one of the three target measures every System
+// models.
+func est(sys System, m core.QueryMeasure, u, v uint64) float64 {
+	f, err := sys.Estimate(m, u, v)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 func randomEdges(n, m int, seed uint64) []stream.Edge {
 	x := rng.NewXoshiro256(seed)
 	es := make([]stream.Edge, 0, m)
@@ -43,9 +53,9 @@ func TestExactMatchesExactPackage(t *testing.T) {
 	x := rng.NewXoshiro256(2)
 	for i := 0; i < 200; i++ {
 		u, v := uint64(x.Intn(100)), uint64(x.Intn(100))
-		if sys.EstimateJaccard(u, v) != exact.Jaccard(g, u, v) ||
-			sys.EstimateCommonNeighbors(u, v) != exact.CommonNeighbors(g, u, v) ||
-			sys.EstimateAdamicAdar(u, v) != exact.AdamicAdar(g, u, v) {
+		if est(sys, core.QueryJaccard, u, v) != exact.Jaccard(g, u, v) ||
+			est(sys, core.QueryCommonNeighbors, u, v) != exact.CommonNeighbors(g, u, v) ||
+			est(sys, core.QueryAdamicAdar, u, v) != exact.AdamicAdar(g, u, v) {
 			t.Fatalf("Exact system diverges from exact package at (%d,%d)", u, v)
 		}
 	}
@@ -102,10 +112,10 @@ func TestReservoirSmallStreamKeepsEverything(t *testing.T) {
 	x := rng.NewXoshiro256(7)
 	for i := 0; i < 100; i++ {
 		u, v := uint64(x.Intn(50)), uint64(x.Intn(50))
-		if got, want := r.EstimateCommonNeighbors(u, v), exact.CommonNeighbors(g, u, v); math.Abs(got-want) > 1e-9 {
+		if got, want := est(r, core.QueryCommonNeighbors, u, v), exact.CommonNeighbors(g, u, v); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("p=1 CN(%d,%d) = %v, want %v", u, v, got, want)
 		}
-		if got, want := r.EstimateJaccard(u, v), exact.Jaccard(g, u, v); math.Abs(got-want) > 1e-9 {
+		if got, want := est(r, core.QueryJaccard, u, v), exact.Jaccard(g, u, v); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("p=1 J(%d,%d) = %v, want %v", u, v, got, want)
 		}
 	}
@@ -170,7 +180,7 @@ func TestReservoirCNEstimateUnbiasedish(t *testing.T) {
 		for _, e := range es {
 			r.ProcessEdge(e)
 		}
-		sum += r.EstimateCommonNeighbors(1, 2)
+		sum += est(r, core.QueryCommonNeighbors, 1, 2)
 	}
 	mean := sum / trials
 	if math.Abs(mean-cn)/cn > 0.25 {
@@ -186,9 +196,9 @@ func TestReservoirEstimatesNonNegativeFinite(t *testing.T) {
 	x := rng.NewXoshiro256(15)
 	for i := 0; i < 300; i++ {
 		u, v := uint64(x.Intn(100)), uint64(x.Intn(100))
-		j := r.EstimateJaccard(u, v)
-		cn := r.EstimateCommonNeighbors(u, v)
-		aa := r.EstimateAdamicAdar(u, v)
+		j := est(r, core.QueryJaccard, u, v)
+		cn := est(r, core.QueryCommonNeighbors, u, v)
+		aa := est(r, core.QueryAdamicAdar, u, v)
 		if j < 0 || j > 1 || math.IsNaN(j) {
 			t.Fatalf("J(%d,%d) = %v out of range", u, v, j)
 		}
@@ -236,8 +246,15 @@ func TestSketchStoreSatisfiesSystemBehaviour(t *testing.T) {
 		if sys.MemoryBytes() <= 0 {
 			t.Errorf("%T reports non-positive memory", sys)
 		}
-		if j := sys.EstimateJaccard(1, 2); j < 0 || j > 1 {
+		if j := est(sys, core.QueryJaccard, 1, 2); j < 0 || j > 1 {
 			t.Errorf("%T Jaccard out of range: %v", sys, j)
+		}
+	}
+	// The baselines model only the paper's three targets; asking them
+	// for any other measure is an error, not a silent zero.
+	for _, sys := range systems[:2] {
+		if _, err := sys.Estimate(core.QueryCosine, 1, 2); err == nil {
+			t.Errorf("%T: cosine should be an unmodeled-measure error", sys)
 		}
 	}
 }

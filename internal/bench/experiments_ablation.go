@@ -58,8 +58,8 @@ func runE11(cfg RunConfig) (*Table, error) {
 			nsPerEdge := float64(time.Since(start).Nanoseconds()) / float64(len(edges))
 			var j, aa measureErrors
 			for _, p := range pairs {
-				j.add(s.EstimateJaccard(p.u, p.v), p.jaccard)
-				aa.add(s.EstimateAdamicAdar(p.u, p.v), p.aa)
+				j.add(estimate(s, core.QueryJaccard, p.u, p.v), p.jaccard)
+				aa.add(estimate(s, core.QueryAdamicAdar, p.u, p.v), p.aa)
 			}
 			t.AddRow(k, kind.String(),
 				eval.MAE(j.est, j.truth),
@@ -111,8 +111,8 @@ func runE12(cfg RunConfig) (*Table, error) {
 			}
 			var cn, aa measureErrors
 			for _, p := range pairs {
-				cn.add(s.EstimateCommonNeighbors(p.u, p.v), p.cn)
-				aa.add(s.EstimateAdamicAdar(p.u, p.v), p.aa)
+				cn.add(estimate(s, core.QueryCommonNeighbors, p.u, p.v), p.cn)
+				aa.add(estimate(s, core.QueryAdamicAdar, p.u, p.v), p.aa)
 			}
 			t.AddRow(k, mode.String(),
 				eval.MeanRelativeError(cn.est, cn.truth, relErrFloorCN),
@@ -195,10 +195,10 @@ func runE13(cfg RunConfig) (*Table, error) {
 	pairs := sampleQueryPairs(g, queryCount(cfg), cfg.Seed+28)
 	var fullJ, winJ, fullCN, winCN measureErrors
 	for _, p := range pairs {
-		fullJ.add(full.EstimateJaccard(p.u, p.v), p.jaccard)
-		winJ.add(windowed.EstimateJaccard(p.u, p.v), p.jaccard)
-		fullCN.add(full.EstimateCommonNeighbors(p.u, p.v), p.cn)
-		winCN.add(windowed.EstimateCommonNeighbors(p.u, p.v), p.cn)
+		fullJ.add(estimate(full, core.QueryJaccard, p.u, p.v), p.jaccard)
+		winJ.add(estimate(windowed, core.QueryJaccard, p.u, p.v), p.jaccard)
+		fullCN.add(estimate(full, core.QueryCommonNeighbors, p.u, p.v), p.cn)
+		winCN.add(estimate(windowed, core.QueryCommonNeighbors, p.u, p.v), p.cn)
 	}
 	t := &Table{
 		Title:   fmt.Sprintf("E13: concept drift — error vs the current (phase-2) graph (k=%d)", k),

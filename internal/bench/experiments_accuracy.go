@@ -115,9 +115,9 @@ func accuracyAtK(edges []stream.Edge, pairs []queryPair, k int, seed uint64) (ma
 	}
 	var j, cn, aa measureErrors
 	for _, p := range pairs {
-		j.add(s.EstimateJaccard(p.u, p.v), p.jaccard)
-		cn.add(s.EstimateCommonNeighbors(p.u, p.v), p.cn)
-		aa.add(s.EstimateAdamicAdar(p.u, p.v), p.aa)
+		j.add(estimate(s, core.QueryJaccard, p.u, p.v), p.jaccard)
+		cn.add(estimate(s, core.QueryCommonNeighbors, p.u, p.v), p.cn)
+		aa.add(estimate(s, core.QueryAdamicAdar, p.u, p.v), p.aa)
 	}
 	return eval.MAE(j.est, j.truth),
 		eval.MeanRelativeError(cn.est, cn.truth, relErrFloorCN),
@@ -223,7 +223,7 @@ func runE4(cfg RunConfig) (*Table, error) {
 		type measureCase struct {
 			name    string
 			exact   func(u, v uint64) float64
-			sketch  func(u, v uint64) float64
+			sketch  core.QueryMeasure
 			agreeP  []float64
 			agreeKT []float64
 			agreeSP []float64
@@ -231,13 +231,13 @@ func runE4(cfg RunConfig) (*Table, error) {
 		cases := []*measureCase{
 			{name: "jaccard",
 				exact:  func(u, v uint64) float64 { return exact.Jaccard(g, u, v) },
-				sketch: s.EstimateJaccard},
+				sketch: core.QueryJaccard},
 			{name: "common-neighbors",
 				exact:  func(u, v uint64) float64 { return exact.CommonNeighbors(g, u, v) },
-				sketch: s.EstimateCommonNeighbors},
+				sketch: core.QueryCommonNeighbors},
 			{name: "adamic-adar",
 				exact:  func(u, v uint64) float64 { return exact.AdamicAdar(g, u, v) },
-				sketch: s.EstimateAdamicAdar},
+				sketch: core.QueryAdamicAdar},
 		}
 		x := rng.NewXoshiro256(cfg.Seed + 7)
 		vs := g.VertexSlice()
@@ -258,7 +258,7 @@ func runE4(cfg RunConfig) (*Table, error) {
 				est := make([]float64, len(cands))
 				tru := make([]float64, len(cands))
 				for i, v := range cands {
-					est[i] = mc.sketch(u, v)
+					est[i] = estimate(s, mc.sketch, u, v)
 					tru[i] = mc.exact(u, v)
 				}
 				agree, err := eval.CompareRankings(cands, est, tru, 10)

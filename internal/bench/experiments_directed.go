@@ -111,9 +111,9 @@ func runE16(cfg RunConfig) (*Table, error) {
 		}
 		var j, cn, aa measureErrors
 		for _, p := range pairs {
-			j.add(s.EstimateJaccard(p.u, p.v), p.j)
-			cn.add(s.EstimateCommonNeighbors(p.u, p.v), p.cn)
-			aa.add(s.EstimateAdamicAdar(p.u, p.v), p.aa)
+			j.add(estimate(s, core.QueryJaccard, p.u, p.v), p.j)
+			cn.add(estimate(s, core.QueryCommonNeighbors, p.u, p.v), p.cn)
+			aa.add(estimate(s, core.QueryAdamicAdar, p.u, p.v), p.aa)
 		}
 		t.AddRow(k,
 			eval.MAE(j.est, j.truth),

@@ -67,9 +67,9 @@ func runE22(cfg RunConfig) (*Table, error) {
 						hi = len(chunk)
 					}
 					if d != nil {
-						d.Ingest(chunk[lo:hi], s.ProcessEdges)
+						d.Ingest(chunk[lo:hi], func(b []stream.Edge) { s.IngestBatch(b, nil) })
 					} else {
-						s.ProcessEdges(chunk[lo:hi])
+						s.IngestBatch(chunk[lo:hi], nil)
 					}
 				}
 			}(edges[lo:hi])
@@ -156,7 +156,7 @@ func runE22(cfg RunConfig) (*Table, error) {
 		if hi > len(edges) {
 			hi = len(edges)
 		}
-		if err := d.Ingest(edges[lo:hi], s.ProcessEdges); err != nil {
+		if err := d.Ingest(edges[lo:hi], func(b []stream.Edge) { s.IngestBatch(b, nil) }); err != nil {
 			return nil, err
 		}
 		if lo < half && hi >= half {
@@ -181,7 +181,7 @@ func runE22(cfg RunConfig) (*Table, error) {
 		rec = loaded
 		return nil
 	}, func(r wal.Record) error {
-		rec.ProcessEdges(r.Edges)
+		rec.IngestBatch(r.Edges, nil)
 		return nil
 	})
 	if err != nil {

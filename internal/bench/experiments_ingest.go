@@ -25,7 +25,7 @@ func init() {
 // runE20 measures the batched ingest pipeline against per-edge ingest on
 // the sharded store: edges/second at 1, 2, 4, … writer goroutines (up to
 // RunConfig.Parallel), per-edge vs batched (RunConfig.Batch edges per
-// ProcessEdges call). The workload is the raw duplicate-preserving
+// IngestBatch call). The workload is the raw duplicate-preserving
 // coauthor stream — papers emit author-pair cliques and prolific pairs
 // recur, which is exactly the locality the batch pipeline exploits
 // (one hash vector and one vertex-map lookup per distinct endpoint per
@@ -89,7 +89,7 @@ func runE20(cfg RunConfig) (*Table, error) {
 					if hi > len(chunk) {
 						hi = len(chunk)
 					}
-					s.ProcessEdges(chunk[lo:hi])
+					s.IngestBatch(chunk[lo:hi], nil)
 				}
 			}(edges[lo:hi])
 		}

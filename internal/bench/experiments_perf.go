@@ -152,11 +152,11 @@ func runE10(cfg RunConfig) (*Table, error) {
 	for i := range queries {
 		queries[i] = pair{vs[x.Intn(len(vs))], vs[x.Intn(len(vs))]}
 	}
-	timeQueries := func(f func(u, v uint64) float64) float64 {
+	timeQueries := func(sys estimator, m core.QueryMeasure) float64 {
 		var sink float64
 		start := time.Now()
 		for _, q := range queries {
-			sink += f(q.u, q.v)
+			sink += estimate(sys, m, q.u, q.v)
 		}
 		elapsed := time.Since(start)
 		_ = sink
@@ -182,13 +182,13 @@ func runE10(cfg RunConfig) (*Table, error) {
 			s.ProcessEdge(e)
 		}
 		t.AddRow(fmt.Sprintf("sketch k=%d", k),
-			timeQueries(s.EstimateJaccard),
-			timeQueries(s.EstimateCommonNeighbors),
-			timeQueries(s.EstimateAdamicAdar))
+			timeQueries(s, core.QueryJaccard),
+			timeQueries(s, core.QueryCommonNeighbors),
+			timeQueries(s, core.QueryAdamicAdar))
 	}
 	t.AddRow("exact",
-		timeQueries(ex.EstimateJaccard),
-		timeQueries(ex.EstimateCommonNeighbors),
-		timeQueries(ex.EstimateAdamicAdar))
+		timeQueries(ex, core.QueryJaccard),
+		timeQueries(ex, core.QueryCommonNeighbors),
+		timeQueries(ex, core.QueryAdamicAdar))
 	return t, nil
 }

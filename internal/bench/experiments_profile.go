@@ -81,7 +81,7 @@ func runE18(cfg RunConfig) (*Table, error) {
 			}
 			hits := 0
 			for _, h := range r.TopVertices {
-				if top20[h.Key] {
+				if top20[h.ID] {
 					hits++
 				}
 			}

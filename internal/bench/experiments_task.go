@@ -140,9 +140,9 @@ func runE7(cfg RunConfig) (*Table, error) {
 		}
 		var aaM, aaB, cnD, cnU measureErrors
 		for _, p := range pairs {
-			aaM.add(s.EstimateAdamicAdar(p.u, p.v), p.aa)
+			aaM.add(estimate(s, core.QueryAdamicAdar, p.u, p.v), p.aa)
 			aaB.add(s.EstimateAdamicAdarBiased(p.u, p.v), p.aa)
-			cnD.add(s.EstimateCommonNeighbors(p.u, p.v), p.cn)
+			cnD.add(estimate(s, core.QueryCommonNeighbors, p.u, p.v), p.cn)
 			cnU.add(s.EstimateCommonNeighborsViaUnion(p.u, p.v), p.cn)
 		}
 		t.AddRow(k,
@@ -187,9 +187,9 @@ func runE9(cfg RunConfig) (*Table, error) {
 		pairs := sampleQueryPairs(g, nPairs, cfg.Seed+14+uint64(chk))
 		var j, cn, aa measureErrors
 		for _, p := range pairs {
-			j.add(s.EstimateJaccard(p.u, p.v), p.jaccard)
-			cn.add(s.EstimateCommonNeighbors(p.u, p.v), p.cn)
-			aa.add(s.EstimateAdamicAdar(p.u, p.v), p.aa)
+			j.add(estimate(s, core.QueryJaccard, p.u, p.v), p.jaccard)
+			cn.add(estimate(s, core.QueryCommonNeighbors, p.u, p.v), p.cn)
+			aa.add(estimate(s, core.QueryAdamicAdar, p.u, p.v), p.aa)
 		}
 		t.AddRow(10*chk, limit,
 			eval.MAE(j.est, j.truth),

@@ -4,12 +4,27 @@ import (
 	"fmt"
 	"sort"
 
+	"linkpred/internal/core"
 	"linkpred/internal/exact"
 	"linkpred/internal/gen"
 	"linkpred/internal/graph"
 	"linkpred/internal/rng"
 	"linkpred/internal/stream"
 )
+
+// estimator is the per-pair query surface shared by the sketch stores
+// and the baseline systems.
+type estimator interface {
+	Estimate(m core.QueryMeasure, u, v uint64) (float64, error)
+}
+
+// estimate scores one pair under a measure s models: the sketch stores
+// model all six, the baselines the paper's three targets, and the
+// experiments ask for nothing else, so the error is always nil.
+func estimate(s estimator, m core.QueryMeasure, u, v uint64) float64 {
+	f, _ := s.Estimate(m, u, v)
+	return f
+}
 
 // RunConfig controls an experiment run.
 type RunConfig struct {

@@ -398,7 +398,7 @@ func (s *Sharded) applyShardBatch(sc *batchScratch, shard int) {
 	s.mus[shard].Unlock()
 }
 
-// ProcessEdges folds a batch of edges into the sketches of all endpoints
+// IngestBatch folds a batch of edges into the sketches of all endpoints
 // through the staged pipeline above: all hashing happens outside any
 // lock, repeated vertices are hashed and looked up once per batch, and
 // each shard's write lock is acquired once per batch instead of twice
@@ -412,19 +412,16 @@ func (s *Sharded) applyShardBatch(sc *batchScratch, shard int) {
 // until they finish, so the post-return contract — batch fully applied,
 // gauges refreshed — is identical on both paths.
 //
+// done (nil never cancels) is polled before the batch is handed to the
+// store, and while the producer spins on a full pipeline ring (see
+// publishBatch). A fired done returns ErrCanceled with nothing applied;
+// once any shard owner holds the batch it always completes, because a
+// half-applied batch would desynchronize the store from the WAL's acked
+// prefix.
+//
 // For meaningful amortization pass batches of a few hundred edges or
 // more; ProcessEdge remains the better call for single edges.
-func (s *Sharded) ProcessEdges(edges []stream.Edge) {
-	s.ProcessEdgesCancel(edges, nil) // nil done: never cancels
-}
-
-// ProcessEdgesCancel is ProcessEdges with pre-commit cancellation: done
-// is polled before the batch is handed to the store (and while the
-// producer spins on a full pipeline ring — see publishBatch). A fired
-// done returns ErrCanceled with nothing applied; once any shard owner
-// holds the batch it always completes, because a half-applied batch
-// would desynchronize the store from the WAL's acked prefix.
-func (s *Sharded) ProcessEdgesCancel(edges []stream.Edge, done <-chan struct{}) error {
+func (s *Sharded) IngestBatch(edges []stream.Edge, done <-chan struct{}) error {
 	if len(edges) == 0 {
 		return nil
 	}
@@ -454,7 +451,7 @@ func (s *Sharded) ProcessEdgesCancel(edges []stream.Edge, done <-chan struct{}) 
 // ProcessEdgesAsync publishes a batch to the running ingest pipeline
 // without waiting for the applies to complete; FlushIngest is the
 // barrier. With no pipeline running it degrades to the synchronous
-// ProcessEdges. Used by batched WAL replay, where the reader goroutine
+// IngestBatch. Used by batched WAL replay, where the reader goroutine
 // should decode the next record while the owners apply this one.
 func (s *Sharded) ProcessEdgesAsync(edges []stream.Edge) {
 	if len(edges) == 0 {
@@ -465,7 +462,7 @@ func (s *Sharded) ProcessEdgesAsync(edges []stream.Edge) {
 		p.exit()
 		return
 	}
-	s.ProcessEdges(edges)
+	s.IngestBatch(edges, nil)
 }
 
 // processEdgesVia runs stages 1–3 on the caller's goroutine and
@@ -565,20 +562,13 @@ func (s *ShardedDirected) applyShardBatch(sc *batchScratch, shard int) {
 	s.mus[shard].Unlock()
 }
 
-// ProcessArcs is the directed analogue of Sharded.ProcessEdges: it folds
+// IngestBatch is the directed analogue of Sharded.IngestBatch: it folds
 // a batch of arcs u → v into the out-sketches of the sources and the
 // in-sketches of the targets with hashing outside any lock and one lock
 // acquisition per shard per batch. Register state is identical to
-// calling ProcessArc per arc. Safe for concurrent use. Like
-// ProcessEdges, a running ingest pipeline routes the prepared batch to
-// the shard owners with identical post-return semantics.
-func (s *ShardedDirected) ProcessArcs(arcs []stream.Edge) {
-	s.ProcessArcsCancel(arcs, nil) // nil done: never cancels
-}
-
-// ProcessArcsCancel is ProcessArcs with pre-commit cancellation; see
-// Sharded.ProcessEdgesCancel for the exact semantics.
-func (s *ShardedDirected) ProcessArcsCancel(arcs []stream.Edge, done <-chan struct{}) error {
+// calling ProcessArc per arc. Safe for concurrent use. Pipeline routing
+// and pre-commit cancellation follow Sharded.IngestBatch exactly.
+func (s *ShardedDirected) IngestBatch(arcs []stream.Edge, done <-chan struct{}) error {
 	if len(arcs) == 0 {
 		return nil
 	}
@@ -617,7 +607,7 @@ func (s *ShardedDirected) ProcessArcsAsync(arcs []stream.Edge) {
 		p.exit()
 		return
 	}
-	s.ProcessArcs(arcs)
+	s.IngestBatch(arcs, nil)
 }
 
 func (s *ShardedDirected) processArcsVia(p *pipeline, arcs []stream.Edge, wait bool, done <-chan struct{}) error {

@@ -82,7 +82,7 @@ func TestProcessEdgesMatchesSequential(t *testing.T) {
 				if hi > len(edges) {
 					hi = len(edges)
 				}
-				s.ProcessEdges(edges[lo:hi])
+				s.IngestBatch(edges[lo:hi], nil)
 			}
 			if s.NumEdges() != wantEdges {
 				t.Fatalf("shards=%d batch=%d: NumEdges %d != %d", nShards, batch, s.NumEdges(), wantEdges)
@@ -109,12 +109,12 @@ func TestProcessEdgesMatchesPerEdgeKMV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ProcessEdges(edges)
+	s.IngestBatch(edges, nil)
 	shardedRegistersEqual(t, s, plain)
 	x := rng.NewXoshiro256(20263)
 	for i := 0; i < 200; i++ {
 		u, v := uint64(x.Intn(120)), uint64(x.Intn(120))
-		if a, b := s.EstimateCommonNeighbors(u, v), plain.EstimateCommonNeighbors(u, v); a != b {
+		if a, b := est(s, QueryCommonNeighbors, u, v), est(plain, QueryCommonNeighbors, u, v); a != b {
 			t.Fatalf("CN(%d,%d): %v != %v", u, v, a, b)
 		}
 		if a, b := s.Degree(u), plain.Degree(u); a != b {
@@ -147,7 +147,7 @@ func TestProcessArcsMatchesSequential(t *testing.T) {
 				if hi > len(arcs) {
 					hi = len(arcs)
 				}
-				s.ProcessArcs(arcs[lo:hi])
+				s.IngestBatch(arcs[lo:hi], nil)
 			}
 			if s.NumArcs() != plain.NumArcs() {
 				t.Fatalf("shards=%d batch=%d: NumArcs %d != %d", nShards, batch, s.NumArcs(), plain.NumArcs())
@@ -186,13 +186,13 @@ func TestProcessEdgesEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ProcessEdges(nil)
-	s.ProcessEdges([]stream.Edge{})
-	s.ProcessEdges([]stream.Edge{{U: 7, V: 7}, {U: 9, V: 9}})
+	s.IngestBatch(nil, nil)
+	s.IngestBatch([]stream.Edge{}, nil)
+	s.IngestBatch([]stream.Edge{{U: 7, V: 7}, {U: 9, V: 9}}, nil)
 	if s.NumEdges() != 0 || s.NumVertices() != 0 {
 		t.Fatalf("self-loop-only batches must be no-ops: edges=%d vertices=%d", s.NumEdges(), s.NumVertices())
 	}
-	s.ProcessEdges([]stream.Edge{{U: 1, V: 2}})
+	s.IngestBatch([]stream.Edge{{U: 1, V: 2}}, nil)
 	if s.NumEdges() != 1 || !s.Knows(1) || !s.Knows(2) {
 		t.Fatal("single-edge batch not ingested")
 	}
@@ -200,8 +200,8 @@ func TestProcessEdgesEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.ProcessArcs(nil)
-	d.ProcessArcs([]stream.Edge{{U: 5, V: 5}})
+	d.IngestBatch(nil, nil)
+	d.IngestBatch([]stream.Edge{{U: 5, V: 5}}, nil)
 	if d.NumArcs() != 0 {
 		t.Fatal("self-loop arc batch must be a no-op")
 	}
@@ -242,7 +242,7 @@ func TestProcessEdgesConcurrentWriters(t *testing.T) {
 					if hi > len(part) {
 						hi = len(part)
 					}
-					s.ProcessEdges(part[lo:hi])
+					s.IngestBatch(part[lo:hi], nil)
 				}
 			} else {
 				for _, e := range part {
@@ -281,7 +281,7 @@ func TestShardedBatchRaceStress(t *testing.T) {
 				if hi > (off+1)*6000 {
 					hi = (off + 1) * 6000
 				}
-				s.ProcessEdges(edges[lo:hi])
+				s.IngestBatch(edges[lo:hi], nil)
 			}
 		}(w)
 	}
@@ -301,11 +301,11 @@ func TestShardedBatchRaceStress(t *testing.T) {
 			x := rng.NewXoshiro256(seed)
 			for i := 0; i < 3000; i++ {
 				u, v := uint64(x.Intn(150)), uint64(x.Intn(150))
-				if aa := s.EstimateAdamicAdar(u, v); aa < 0 {
+				if aa := est(s, QueryAdamicAdar, u, v); aa < 0 {
 					t.Errorf("AA(%d,%d) = %v mid-ingest", u, v, aa)
 					return
 				}
-				if ra := s.EstimateResourceAllocation(u, v); ra < 0 {
+				if ra := est(s, QueryResourceAllocation, u, v); ra < 0 {
 					t.Errorf("RA(%d,%d) = %v mid-ingest", u, v, ra)
 					return
 				}
@@ -341,12 +341,12 @@ func TestEstimateWeightedNoAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ProcessEdges(edges)
+	s.IngestBatch(edges, nil)
 	var sink float64
 	allocs := testing.AllocsPerRun(200, func() {
-		sink += s.EstimateAdamicAdar(11, 13)
-		sink += s.EstimateResourceAllocation(17, 19)
-		sink += s.EstimateAdamicAdar(1, 999) // unknown pair: early-return path
+		sink += est(s, QueryAdamicAdar, 11, 13)
+		sink += est(s, QueryResourceAllocation, 17, 19)
+		sink += est(s, QueryAdamicAdar, 1, 999) // unknown pair: early-return path
 	})
 	if allocs != 0 {
 		t.Errorf("weighted estimators allocate %.1f per run, want 0", allocs)

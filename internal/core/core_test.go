@@ -29,6 +29,16 @@ func buildBoth(t *testing.T, cfg Config, edges []stream.Edge) (*graph.Graph, *Sk
 	return g, s
 }
 
+// est is Estimate for a measure the caller knows is valid (an invalid
+// measure is Estimate's only error).
+func est(s Store, m QueryMeasure, u, v uint64) float64 {
+	f, err := s.Estimate(m, u, v)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 // randomEdges returns m distinct-ish random edges over n vertices.
 func randomEdges(n, m int, seed uint64) []stream.Edge {
 	x := rng.NewXoshiro256(seed)
@@ -103,7 +113,7 @@ func TestJaccardIdenticalNeighborhoods(t *testing.T) {
 		es = append(es, stream.Edge{U: 1, V: w}, stream.Edge{U: 2, V: w})
 	}
 	_, s := buildBoth(t, Config{K: 64, Seed: 1}, es)
-	if got := s.EstimateJaccard(1, 2); got != 1 {
+	if got := est(s, QueryJaccard, 1, 2); got != 1 {
 		t.Errorf("J of identical neighborhoods = %v, want exactly 1", got)
 	}
 }
@@ -114,7 +124,7 @@ func TestJaccardDisjointNeighborhoods(t *testing.T) {
 		es = append(es, stream.Edge{U: 1, V: w}, stream.Edge{U: 2, V: w + 100})
 	}
 	_, s := buildBoth(t, Config{K: 64, Seed: 1}, es)
-	if got := s.EstimateJaccard(1, 2); got != 0 {
+	if got := est(s, QueryJaccard, 1, 2); got != 0 {
 		t.Errorf("J of disjoint neighborhoods = %v, want 0 (collisions aside)", got)
 	}
 }
@@ -122,9 +132,9 @@ func TestJaccardDisjointNeighborhoods(t *testing.T) {
 func TestUnknownVerticesScoreZero(t *testing.T) {
 	s, _ := NewSketchStore(Config{K: 16, EnableBiased: true})
 	s.ProcessEdge(stream.Edge{U: 1, V: 2})
-	if s.EstimateJaccard(1, 99) != 0 ||
-		s.EstimateCommonNeighbors(99, 1) != 0 ||
-		s.EstimateAdamicAdar(98, 99) != 0 ||
+	if est(s, QueryJaccard, 1, 99) != 0 ||
+		est(s, QueryCommonNeighbors, 99, 1) != 0 ||
+		est(s, QueryAdamicAdar, 98, 99) != 0 ||
 		s.EstimateAdamicAdarBiased(1, 99) != 0 ||
 		s.EstimateCommonNeighborsViaUnion(1, 99) != 0 {
 		t.Error("queries with unknown vertices must return 0")
@@ -141,7 +151,7 @@ func TestDuplicateEdgesIdempotentForSketch(t *testing.T) {
 	x := rng.NewXoshiro256(9)
 	for i := 0; i < 100; i++ {
 		u, v := uint64(x.Intn(100)), uint64(x.Intn(100))
-		if a, b := s1.EstimateJaccard(u, v), s2.EstimateJaccard(u, v); a != b {
+		if a, b := est(s1, QueryJaccard, u, v), est(s2, QueryJaccard, u, v); a != b {
 			t.Fatalf("duplicates changed Jaccard(%d,%d): %v vs %v", u, v, a, b)
 		}
 	}
@@ -206,7 +216,7 @@ func TestJaccardAccuracyConverges(t *testing.T) {
 		_, s := buildBoth(t, Config{K: k, Seed: 17}, edges)
 		sum := 0.0
 		for _, p := range pairs {
-			sum += math.Abs(s.EstimateJaccard(p.u, p.v) - exact.Jaccard(g, p.u, p.v))
+			sum += math.Abs(est(s, QueryJaccard, p.u, p.v) - exact.Jaccard(g, p.u, p.v))
 		}
 		return sum / float64(len(pairs))
 	}
@@ -245,7 +255,7 @@ func TestCommonNeighborsAccuracy(t *testing.T) {
 		if u == v || truth < 5 {
 			continue
 		}
-		est := s.EstimateCommonNeighbors(u, v)
+		est := est(s, QueryCommonNeighbors, u, v)
 		relErrs = append(relErrs, math.Abs(est-truth)/truth)
 	}
 	if len(relErrs) < 20 {
@@ -271,7 +281,7 @@ func TestAdamicAdarAccuracy(t *testing.T) {
 		if u == v || truth < 2 {
 			continue
 		}
-		est := s.EstimateAdamicAdar(u, v)
+		est := est(s, QueryAdamicAdar, u, v)
 		relErrs = append(relErrs, math.Abs(est-truth)/truth)
 	}
 	if len(relErrs) < 20 {
@@ -365,13 +375,13 @@ func TestEstimatesSymmetric(t *testing.T) {
 	x := rng.NewXoshiro256(83)
 	for i := 0; i < 200; i++ {
 		u, v := uint64(x.Intn(100)), uint64(x.Intn(100))
-		if s.EstimateJaccard(u, v) != s.EstimateJaccard(v, u) {
+		if est(s, QueryJaccard, u, v) != est(s, QueryJaccard, v, u) {
 			t.Fatalf("Jaccard asymmetric at (%d,%d)", u, v)
 		}
-		if s.EstimateCommonNeighbors(u, v) != s.EstimateCommonNeighbors(v, u) {
+		if est(s, QueryCommonNeighbors, u, v) != est(s, QueryCommonNeighbors, v, u) {
 			t.Fatalf("CN asymmetric at (%d,%d)", u, v)
 		}
-		if s.EstimateAdamicAdar(u, v) != s.EstimateAdamicAdar(v, u) {
+		if est(s, QueryAdamicAdar, u, v) != est(s, QueryAdamicAdar, v, u) {
 			t.Fatalf("AA asymmetric at (%d,%d)", u, v)
 		}
 		a, b := s.EstimateAdamicAdarBiased(u, v), s.EstimateAdamicAdarBiased(v, u)
@@ -386,9 +396,9 @@ func TestEstimateRangesProperty(t *testing.T) {
 	_, s := buildBoth(t, Config{K: 32, Seed: 97, EnableBiased: true}, edges)
 	if err := quick.Check(func(a, b uint16) bool {
 		u, v := uint64(a%80), uint64(b%80)
-		j := s.EstimateJaccard(u, v)
-		cn := s.EstimateCommonNeighbors(u, v)
-		aa := s.EstimateAdamicAdar(u, v)
+		j := est(s, QueryJaccard, u, v)
+		cn := est(s, QueryCommonNeighbors, u, v)
+		aa := est(s, QueryAdamicAdar, u, v)
 		ab := s.EstimateAdamicAdarBiased(u, v)
 		return j >= 0 && j <= 1 && cn >= 0 && aa >= 0 && ab >= 0 &&
 			!math.IsNaN(j) && !math.IsNaN(cn) && !math.IsNaN(aa) && !math.IsNaN(ab) &&
@@ -406,8 +416,8 @@ func TestDeterminismAcrossStores(t *testing.T) {
 	x := rng.NewXoshiro256(107)
 	for i := 0; i < 200; i++ {
 		u, v := uint64(x.Intn(100)), uint64(x.Intn(100))
-		if s1.EstimateJaccard(u, v) != s2.EstimateJaccard(u, v) ||
-			s1.EstimateAdamicAdar(u, v) != s2.EstimateAdamicAdar(u, v) ||
+		if est(s1, QueryJaccard, u, v) != est(s2, QueryJaccard, u, v) ||
+			est(s1, QueryAdamicAdar, u, v) != est(s2, QueryAdamicAdar, u, v) ||
 			s1.EstimateAdamicAdarBiased(u, v) != s2.EstimateAdamicAdarBiased(u, v) {
 			t.Fatalf("stores with identical config diverge at (%d,%d)", u, v)
 		}
@@ -426,7 +436,7 @@ func TestTabulationHashingWorksToo(t *testing.T) {
 		if u == v {
 			continue
 		}
-		sum += math.Abs(s.EstimateJaccard(u, v) - exact.Jaccard(g, u, v))
+		sum += math.Abs(est(s, QueryJaccard, u, v) - exact.Jaccard(g, u, v))
 		n++
 	}
 	if mae := sum / float64(n); mae > 0.06 {

@@ -33,7 +33,7 @@ func corruptLoaders(t *testing.T) map[string]struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded.ProcessEdges(edges)
+	sharded.IngestBatch(edges, nil)
 	windowed, err := NewWindowed(Config{K: 8, Seed: 1}, 100, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func corruptLoaders(t *testing.T) map[string]struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardedDir.ProcessArcs(edges)
+	shardedDir.IngestBatch(edges, nil)
 
 	save := func(s interface{ Save(io.Writer) error }) []byte {
 		var buf bytes.Buffer

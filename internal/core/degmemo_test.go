@@ -105,9 +105,9 @@ func checkDynamicMemo(t *testing.T, s *DynamicStore) {
 
 // scoreFill warms memos through a batched query: preferential
 // attachment reads every candidate's degree and the source's.
-func scoreFill(t *testing.T, sb func(QueryMeasure, uint64, []uint64, []float64) ([]float64, error), verts []uint64, step int) {
+func scoreFill(t *testing.T, sb func(QueryMeasure, uint64, []uint64, []float64, <-chan struct{}) ([]float64, error), verts []uint64, step int) {
 	t.Helper()
-	if _, err := sb(QueryPreferentialAttachment, verts[step%len(verts)], verts, nil); err != nil {
+	if _, err := sb(QueryPreferentialAttachment, verts[step%len(verts)], verts, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,7 +144,7 @@ func TestDegreeMemoMatchesFreshKMV(t *testing.T) {
 						s.ProcessEdge(e)
 					}
 				case 1: // batched (pipelined when owners run)
-					chunked(x, edges, 64, s.ProcessEdges)
+					chunked(x, edges, 64, func(b []stream.Edge) { s.IngestBatch(b, nil) })
 				case 2: // WAL replay: async publish, then the flush barrier
 					chunked(x, edges, 64, s.ProcessEdgesAsync)
 					s.FlushIngest()
@@ -165,7 +165,7 @@ func TestDegreeMemoMatchesFreshKMV(t *testing.T) {
 						t.Cleanup(loaded.StopPipeline)
 					}
 					s = loaded
-					s.ProcessEdges(edges)
+					s.IngestBatch(edges, nil)
 				}
 			},
 			fill: func(step int) {
@@ -199,7 +199,7 @@ func TestDegreeMemoMatchesFreshKMV(t *testing.T) {
 					}
 					s = loaded
 				}
-				s.ProcessEdges(edges)
+				s.IngestBatch(edges, nil)
 			},
 			fill: func(step int) {
 				if step%2 == 0 {
@@ -244,7 +244,7 @@ func TestDegreeMemoMatchesFreshKMV(t *testing.T) {
 					}
 					s = loaded
 				}
-				s.ProcessEdges(edges)
+				s.IngestBatch(edges, nil)
 				live = append(live, edges...)
 			},
 			fill: func(step int) {
@@ -279,7 +279,7 @@ func TestDegreeMemoMatchesFreshKMV(t *testing.T) {
 						sh.ProcessArc(e)
 					}
 				} else {
-					chunked(x, edges, 64, sh.ProcessArcs)
+					chunked(x, edges, 64, func(b []stream.Edge) { sh.IngestBatch(b, nil) })
 				}
 			},
 			fill: func(step int) {
@@ -381,8 +381,8 @@ func TestDegreeMemoRacesWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded.ProcessEdges(edges[:400])
-	dir.ProcessArcs(edges[:400])
+	sharded.IngestBatch(edges[:400], nil)
+	dir.IngestBatch(edges[:400], nil)
 
 	measures := []QueryMeasure{QueryPreferentialAttachment, QueryCommonNeighbors, QueryAdamicAdar, QueryCosine}
 	var wg sync.WaitGroup
@@ -397,7 +397,7 @@ func TestDegreeMemoRacesWriter(t *testing.T) {
 		var out []float64
 		for i := 0; i < 30; i++ {
 			m := measures[(seed+i)%len(measures)]
-			got, err := store.ScoreBatch(m, uint64((seed+i)%hubs), cands, out)
+			got, err := store.ScoreBatch(m, uint64((seed+i)%hubs), cands, out, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -410,8 +410,8 @@ func TestDegreeMemoRacesWriter(t *testing.T) {
 		}
 	}
 	wg.Add(6)
-	go writer(sharded.ProcessEdges)
-	go writer(dir.ProcessArcs)
+	go writer(func(b []stream.Edge) { sharded.IngestBatch(b, nil) })
+	go writer(func(b []stream.Edge) { dir.IngestBatch(b, nil) })
 	go reader(sharded, 0)
 	go reader(sharded, 1)
 	go reader(dir, 2)
@@ -453,7 +453,7 @@ func BenchmarkScoreBatchDistinctDegrees(b *testing.B) {
 	deg := make(map[uint64]int)
 	for lo := 0; lo < len(edges); lo += 256 {
 		hi := min(lo+256, len(edges))
-		s.ProcessEdges(edges[lo:hi])
+		s.IngestBatch(edges[lo:hi], nil)
 		for _, e := range edges[lo:hi] {
 			deg[e.U]++
 			deg[e.V]++
@@ -484,7 +484,7 @@ func BenchmarkScoreBatchDistinctDegrees(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%v", memo, m), func(b *testing.B) {
 				var out []float64
 				if memo == "warm" {
-					if out, err = s.ScoreBatch(m, u, cands, out); err != nil {
+					if out, err = s.ScoreBatch(m, u, cands, out, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -495,7 +495,7 @@ func BenchmarkScoreBatchDistinctDegrees(b *testing.B) {
 						invalidateAll()
 						b.StartTimer()
 					}
-					if out, err = s.ScoreBatch(m, u, cands, out); err != nil {
+					if out, err = s.ScoreBatch(m, u, cands, out, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

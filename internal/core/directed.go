@@ -272,55 +272,6 @@ func (s *DirectedStore) Estimate(m QueryMeasure, u, v uint64) (float64, error) {
 	return estimatePair(s, m, u, v)
 }
 
-// EstimateJaccard returns the MinHash estimate of
-// |N_out(u) ∩ N_in(v)| / |N_out(u) ∪ N_in(v)| for the candidate arc
-// u → v. Note the asymmetry: EstimateJaccard(u, v) scores u → v, not
-// v → u.
-func (s *DirectedStore) EstimateJaccard(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryJaccard, u, v)
-	return f
-}
-
-// EstimateCommonNeighbors returns the estimated number of directed
-// two-path midpoints |{w : u → w → v}|.
-func (s *DirectedStore) EstimateCommonNeighbors(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryCommonNeighbors, u, v)
-	return f
-}
-
-// EstimateAdamicAdar returns the estimated directed Adamic–Adar index
-// Σ_{w ∈ N_out(u) ∩ N_in(v)} 1/ln d(w), weighting midpoints by their
-// estimated total (in+out) degree.
-func (s *DirectedStore) EstimateAdamicAdar(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryAdamicAdar, u, v)
-	return f
-}
-
-// EstimateResourceAllocation returns the estimated directed
-// resource-allocation index Σ_{w ∈ N_out(u) ∩ N_in(v)} 1/d(w), the
-// Adamic–Adar construction with 1/d midpoint weights (total in+out
-// degree, clamped at 2 as everywhere else).
-func (s *DirectedStore) EstimateResourceAllocation(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryResourceAllocation, u, v)
-	return f
-}
-
-// EstimatePreferentialAttachment returns the directed degree product
-// d_out(u)·d_in(v) — the propensity of u to emit arcs times the
-// propensity of v to receive them.
-func (s *DirectedStore) EstimatePreferentialAttachment(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryPreferentialAttachment, u, v)
-	return f
-}
-
-// EstimateCosine returns the estimated directed cosine similarity
-// |N_out(u) ∩ N_in(v)| / sqrt(d_out(u)·d_in(v)). Pairs with an unknown
-// endpoint or a zero side-degree score 0.
-func (s *DirectedStore) EstimateCosine(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryCosine, u, v)
-	return f
-}
-
 // dirVertexOverhead is the rough per-vertex bookkeeping charge (map
 // entry + pointers + two counters) used by MemoryBytes; package-level
 // for the sharded directed store's memory gauges.

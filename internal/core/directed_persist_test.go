@@ -37,9 +37,9 @@ func TestDirectedSaveLoadRoundTrip(t *testing.T) {
 	x := rng.NewXoshiro256(405)
 	for i := 0; i < 300; i++ {
 		u, v := uint64(x.Intn(200)), uint64(x.Intn(200))
-		if orig.EstimateJaccard(u, v) != loaded.EstimateJaccard(u, v) ||
-			orig.EstimateCommonNeighbors(u, v) != loaded.EstimateCommonNeighbors(u, v) ||
-			orig.EstimateAdamicAdar(u, v) != loaded.EstimateAdamicAdar(u, v) ||
+		if est(orig, QueryJaccard, u, v) != est(loaded, QueryJaccard, u, v) ||
+			est(orig, QueryCommonNeighbors, u, v) != est(loaded, QueryCommonNeighbors, u, v) ||
+			est(orig, QueryAdamicAdar, u, v) != est(loaded, QueryAdamicAdar, u, v) ||
 			orig.OutDegree(u) != loaded.OutDegree(u) ||
 			orig.InDegree(u) != loaded.InDegree(u) {
 			t.Fatalf("loaded directed store diverges at (%d,%d)", u, v)
@@ -59,7 +59,7 @@ func TestDirectedSaveLoadRoundTrip(t *testing.T) {
 		orig.ProcessArc(a)
 		loaded.ProcessArc(a)
 	}
-	if orig.EstimateJaccard(3, 7) != loaded.EstimateJaccard(3, 7) {
+	if est(orig, QueryJaccard, 3, 7) != est(loaded, QueryJaccard, 3, 7) {
 		t.Fatal("restored store diverges after further ingest")
 	}
 }
@@ -71,7 +71,7 @@ func TestShardedDirectedSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig.ProcessArcs(arcs)
+	orig.IngestBatch(arcs, nil)
 
 	var buf bytes.Buffer
 	if err := orig.Save(&buf); err != nil {
@@ -91,12 +91,12 @@ func TestShardedDirectedSaveLoadRoundTrip(t *testing.T) {
 	x := rng.NewXoshiro256(413)
 	for i := 0; i < 300; i++ {
 		u, v := uint64(x.Intn(300)), uint64(x.Intn(300))
-		if orig.EstimateJaccard(u, v) != loaded.EstimateJaccard(u, v) ||
-			orig.EstimateCommonNeighbors(u, v) != loaded.EstimateCommonNeighbors(u, v) ||
-			orig.EstimateAdamicAdar(u, v) != loaded.EstimateAdamicAdar(u, v) {
+		if est(orig, QueryJaccard, u, v) != est(loaded, QueryJaccard, u, v) ||
+			est(orig, QueryCommonNeighbors, u, v) != est(loaded, QueryCommonNeighbors, u, v) ||
+			est(orig, QueryAdamicAdar, u, v) != est(loaded, QueryAdamicAdar, u, v) {
 			t.Fatalf("loaded sharded directed store diverges at (%d,%d)", u, v)
 		}
 	}
 	// Concurrent-safe after load.
-	loaded.ProcessArcs(randomEdges(300, 500, 415))
+	loaded.IngestBatch(randomEdges(300, 500, 415), nil)
 }

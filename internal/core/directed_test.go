@@ -103,17 +103,17 @@ func TestDirectedTwoPathStructure(t *testing.T) {
 		s.ProcessArc(stream.Edge{U: 1, V: w})
 		s.ProcessArc(stream.Edge{U: w, V: 2})
 	}
-	if j := s.EstimateJaccard(1, 2); j != 1 {
+	if j := est(s, QueryJaccard, 1, 2); j != 1 {
 		t.Errorf("J(1→2) = %v, want 1 (N_out(1) == N_in(2))", j)
 	}
 	// The reverse direction shares nothing: N_out(2) and N_in(1) empty.
-	if j := s.EstimateJaccard(2, 1); j != 0 {
+	if j := est(s, QueryJaccard, 2, 1); j != 0 {
 		t.Errorf("J(2→1) = %v, want 0", j)
 	}
-	if cn := s.EstimateCommonNeighbors(1, 2); math.Abs(cn-20) > 2 {
+	if cn := est(s, QueryCommonNeighbors, 1, 2); math.Abs(cn-20) > 2 {
 		t.Errorf("CN(1→2) = %v, want ≈20", cn)
 	}
-	if aa := s.EstimateAdamicAdar(1, 2); aa <= 0 {
+	if aa := est(s, QueryAdamicAdar, 1, 2); aa <= 0 {
 		t.Errorf("AA(1→2) = %v, want > 0", aa)
 	}
 }
@@ -129,10 +129,10 @@ func TestDirectedAccuracy(t *testing.T) {
 		if u == v {
 			continue
 		}
-		jErr = append(jErr, math.Abs(s.EstimateJaccard(u, v)-exact.DirectedJaccard(g, u, v)))
+		jErr = append(jErr, math.Abs(est(s, QueryJaccard, u, v)-exact.DirectedJaccard(g, u, v)))
 		truth := exact.DirectedCommonNeighbors(g, u, v)
 		if truth >= 3 {
-			cnRel = append(cnRel, math.Abs(s.EstimateCommonNeighbors(u, v)-truth)/truth)
+			cnRel = append(cnRel, math.Abs(est(s, QueryCommonNeighbors, u, v)-truth)/truth)
 		}
 	}
 	sum := 0.0
@@ -165,7 +165,7 @@ func TestDirectedAdamicAdarAccuracy(t *testing.T) {
 		if u == v || truth < 1 {
 			continue
 		}
-		rel = append(rel, math.Abs(s.EstimateAdamicAdar(u, v)-truth)/truth)
+		rel = append(rel, math.Abs(est(s, QueryAdamicAdar, u, v)-truth)/truth)
 	}
 	if len(rel) < 20 {
 		t.Fatalf("only %d evaluable pairs", len(rel))
@@ -188,7 +188,7 @@ func TestDirectedDuplicateArcsIdempotentForSketch(t *testing.T) {
 	x := rng.NewXoshiro256(569)
 	for i := 0; i < 200; i++ {
 		u, v := uint64(x.Intn(100)), uint64(x.Intn(100))
-		if s1.EstimateJaccard(u, v) != s2.EstimateJaccard(u, v) {
+		if est(s1, QueryJaccard, u, v) != est(s2, QueryJaccard, u, v) {
 			t.Fatalf("duplicates changed directed Jaccard(%d→%d)", u, v)
 		}
 	}
@@ -220,9 +220,9 @@ func TestDirectedProcessStream(t *testing.T) {
 func TestDirectedUnknownVertices(t *testing.T) {
 	s, _ := NewDirectedStore(Config{K: 16, Seed: 1})
 	s.ProcessArc(stream.Edge{U: 1, V: 2})
-	if s.EstimateJaccard(1, 99) != 0 ||
-		s.EstimateCommonNeighbors(99, 1) != 0 ||
-		s.EstimateAdamicAdar(98, 99) != 0 {
+	if est(s, QueryJaccard, 1, 99) != 0 ||
+		est(s, QueryCommonNeighbors, 99, 1) != 0 ||
+		est(s, QueryAdamicAdar, 98, 99) != 0 {
 		t.Error("queries with unknown vertices must return 0")
 	}
 }

@@ -306,18 +306,13 @@ func (s *DynamicStore) ProcessEdge(e stream.Edge) {
 	s.edges++
 }
 
-// ProcessEdges folds a batch of edges in order.
-func (s *DynamicStore) ProcessEdges(edges []stream.Edge) {
-	for _, e := range edges {
-		s.ProcessEdge(e)
-	}
-}
-
 // Ingest folds one edge into the store (alias of ProcessEdge).
 func (s *DynamicStore) Ingest(e stream.Edge) { s.ProcessEdge(e) }
 
-// IngestBatch folds a batch of edges (alias of ProcessEdges).
-func (s *DynamicStore) IngestBatch(edges []stream.Edge) { s.ProcessEdges(edges) }
+// IngestBatch folds a batch of edges in order; see ingestEach.
+func (s *DynamicStore) IngestBatch(edges []stream.Edge, done <-chan struct{}) error {
+	return ingestEach(edges, done, s.ProcessEdge)
+}
 
 // insertNeighbor folds neighbor id with hash vector hashes into every
 // register of st (per-vertex count — the vertex's tier size on tiered
@@ -562,14 +557,17 @@ func (s *DynamicStore) Estimate(m QueryMeasure, u, v uint64) (float64, error) {
 // scores into out (grown as needed) aligned with candidates. Scores
 // are bit-identical to per-pair Estimate calls. Like the estimator
 // methods, it must not run concurrently with ProcessEdge or
-// DeleteEdge.
-func (s *DynamicStore) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
+// DeleteEdge. done is polled once, before scoring starts.
+func (s *DynamicStore) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
 	if !m.valid() {
 		return nil, fmt.Errorf("core: unknown query measure %v", m)
 	}
 	out = grow(out, len(candidates))
 	if len(candidates) == 0 {
 		return out, nil
+	}
+	if canceled(done) {
+		return out, ErrCanceled
 	}
 	su := s.vertices[u]
 	if su == nil {

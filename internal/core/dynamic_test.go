@@ -334,7 +334,7 @@ func TestDynamicScoreBatchMatchesEstimate(t *testing.T) {
 		}
 		var out []float64
 		for _, m := range dynMeasures {
-			out, err = s.ScoreBatch(m, 5, candidates, out)
+			out, err = s.ScoreBatch(m, 5, candidates, out, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

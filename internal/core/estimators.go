@@ -48,23 +48,6 @@ func (s *SketchStore) Estimate(m QueryMeasure, u, v uint64) (float64, error) {
 	return estimatePair(s, m, u, v)
 }
 
-// EstimateJaccard returns the MinHash estimate of the Jaccard coefficient
-// J(u, v) = |N(u)∩N(v)| / |N(u)∪N(v)|: the fraction of registers on
-// which the two sketches agree. The estimate is unbiased with
-// Var = J(1−J)/K; see theory.go for the (ε, δ) bound.
-func (s *SketchStore) EstimateJaccard(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryJaccard, u, v)
-	return f
-}
-
-// EstimateCommonNeighbors returns the estimate of |N(u) ∩ N(v)| obtained
-// by combining the Jaccard estimate with the degree counters through the
-// identity |A∩B| = J/(1+J) · (|A| + |B|).
-func (s *SketchStore) EstimateCommonNeighbors(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryCommonNeighbors, u, v)
-	return f
-}
-
 // EstimateUnionSize returns the KMV estimate of |N(u) ∪ N(v)| computed by
 // merging the two registers sets (the per-register minimum of two MinHash
 // sketches is exactly the MinHash sketch of the union). It is the
@@ -105,8 +88,9 @@ func (s *SketchStore) EstimateUnionSize(u, v uint64) float64 {
 // EstimateCommonNeighborsViaUnion returns the common-neighbor estimate
 // Ĵ · |N(u)∪N(v)|^ that uses the KMV union-size estimate instead of the
 // degree counters. It needs no degree state at all but inherits the KMV
-// noise; the default estimator (EstimateCommonNeighbors) is preferred
-// whenever degrees are available. Kept for the design-choice ablation.
+// noise; the default estimator (Estimate with QueryCommonNeighbors) is
+// preferred whenever degrees are available. Kept for the design-choice
+// ablation.
 func (s *SketchStore) EstimateCommonNeighborsViaUnion(u, v uint64) float64 {
 	su, sv := s.vertices[u], s.vertices[v]
 	if su == nil || sv == nil {
@@ -119,21 +103,6 @@ func (s *SketchStore) EstimateCommonNeighborsViaUnion(u, v uint64) float64 {
 	}
 	j := float64(matchCount(uVals, vVals)) / float64(kf)
 	return j * s.EstimateUnionSize(u, v)
-}
-
-// EstimateAdamicAdar returns the default (matched-register) estimate of
-// AA(u, v) = Σ_{w ∈ N(u)∩N(v)} 1/ln d(w).
-//
-// Registers where the two sketches agree hold, by the MinHash argmin
-// property, the identity of a uniformly random member of N(u)∩N(v)
-// (uniform over the union conditioned on landing in the intersection).
-// Averaging the Adamic–Adar weight of those sampled members estimates
-// the *mean* weight over the intersection; multiplying by the estimated
-// intersection size ĈN gives the sum. Weights use the store's live
-// degree estimates, so they track the current stream.
-func (s *SketchStore) EstimateAdamicAdar(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryAdamicAdar, u, v)
-	return f
 }
 
 // EstimateAdamicAdarBiased returns the vertex-biased bottom-k estimate of

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 )
 
@@ -81,11 +82,74 @@ func FuzzLoadSketchStore(f *testing.F) {
 		// Queries must not panic or produce invalid values.
 		for u := uint64(0); u < 5; u++ {
 			for v := uint64(0); v < 5; v++ {
-				j := loaded.EstimateJaccard(u, v)
+				j := est(loaded, QueryJaccard, u, v)
 				if j < 0 || j > 1 {
 					t.Fatalf("loaded store yields invalid Jaccard %v", j)
 				}
 			}
+		}
+	})
+}
+
+// FuzzLoadAny feeds arbitrary bytes to the magic-dispatching loader, so
+// every store's decoder sees fuzzed input: it must never panic, and any
+// input it accepts must save, re-load as the same store type, and
+// re-save to the same bytes. The seed corpus holds one image of every
+// store type, uniform and tiered, plus truncations of each.
+func FuzzLoadAny(f *testing.F) {
+	uniform := Config{K: 4, Seed: 5}
+	tiered := Config{K: 16, Seed: 5, Tiers: [MaxTiers]Tier{{K: 4}, {K: 8, PromoteAt: 4}, {K: 16, PromoteAt: 10}}}
+	edges := skewedEdges(12, 60, 5)
+	for _, cfg := range []Config{uniform, tiered} {
+		build := []func() (Store, error){
+			func() (Store, error) { return NewSketchStore(cfg) },
+			func() (Store, error) { return NewSharded(cfg, 2) },
+			func() (Store, error) { return NewDirectedStore(cfg) },
+			func() (Store, error) { return NewShardedDirected(cfg, 2) },
+			func() (Store, error) { return NewWindowed(cfg, 30, 2) },
+			func() (Store, error) { return NewDynamicStore(cfg, 2) },
+		}
+		for _, mk := range build {
+			s, err := mk()
+			if err != nil {
+				f.Fatal(err)
+			}
+			s.IngestBatch(edges, nil)
+			var img bytes.Buffer
+			if err := s.Save(&img); err != nil {
+				f.Fatal(err)
+			}
+			b := img.Bytes()
+			f.Add(b)
+			f.Add(b[:4])        // magic only
+			f.Add(b[:len(b)/2]) // torn mid-image
+			f.Add(b[:len(b)-1]) // torn final byte
+		}
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, input []byte) {
+		loaded, err := LoadAny(bytes.NewReader(input))
+		if err != nil {
+			return // rejected: fine
+		}
+		var first bytes.Buffer
+		if err := loaded.Save(&first); err != nil {
+			t.Fatalf("re-save of accepted %T failed: %v", loaded, err)
+		}
+		again, err := LoadAny(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-load of re-saved %T failed: %v", loaded, err)
+		}
+		if fmt.Sprintf("%T", again) != fmt.Sprintf("%T", loaded) {
+			t.Fatalf("re-load changed the store type: %T -> %T", loaded, again)
+		}
+		var second bytes.Buffer
+		if err := again.Save(&second); err != nil {
+			t.Fatalf("second save of %T failed: %v", again, err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("%T: save/load/save not idempotent on accepted input", loaded)
 		}
 	})
 }

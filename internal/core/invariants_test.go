@@ -33,9 +33,9 @@ func TestOrderInvariance(t *testing.T) {
 		}
 		for i := 0; i < 50; i++ {
 			u, v := x.Uint64()%60, x.Uint64()%60
-			if a.EstimateJaccard(u, v) != b.EstimateJaccard(u, v) ||
-				a.EstimateCommonNeighbors(u, v) != b.EstimateCommonNeighbors(u, v) ||
-				a.EstimateAdamicAdar(u, v) != b.EstimateAdamicAdar(u, v) ||
+			if est(a, QueryJaccard, u, v) != est(b, QueryJaccard, u, v) ||
+				est(a, QueryCommonNeighbors, u, v) != est(b, QueryCommonNeighbors, u, v) ||
+				est(a, QueryAdamicAdar, u, v) != est(b, QueryAdamicAdar, u, v) ||
 				a.Degree(u) != b.Degree(u) {
 				return false
 			}
@@ -69,7 +69,7 @@ func TestWindowedWithHugeWindowMatchesPlain(t *testing.T) {
 		x := rng.NewXoshiro256(seed + 4)
 		for i := 0; i < 50; i++ {
 			u, v := x.Uint64()%50, x.Uint64()%50
-			if plain.EstimateJaccard(u, v) != w.EstimateJaccard(u, v) {
+			if est(plain, QueryJaccard, u, v) != est(w, QueryJaccard, u, v) {
 				return false
 			}
 			if plain.Degree(u) != w.Degree(u) {
@@ -92,7 +92,7 @@ func TestJaccardSelfIsOne(t *testing.T) {
 		if !s.Knows(u) {
 			return true
 		}
-		return s.EstimateJaccard(u, u) == 1
+		return est(s, QueryJaccard, u, u) == 1
 	}, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}

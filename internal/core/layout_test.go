@@ -21,7 +21,7 @@ import (
 
 type scoreStore interface {
 	Estimate(m QueryMeasure, u, v uint64) (float64, error)
-	ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error)
+	ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error)
 }
 
 // scalarStore is the subset every mode has; DirectedStore serves its
@@ -60,8 +60,8 @@ func TestLayoutEquivalenceTable(t *testing.T) {
 		directed.ProcessArc(e)
 		windowed.ProcessEdge(e)
 	}
-	sharded.ProcessEdges(edges)
-	shardedDir.ProcessArcs(edges)
+	sharded.IngestBatch(edges, nil)
+	shardedDir.IngestBatch(edges, nil)
 
 	modes := []struct {
 		name  string
@@ -79,7 +79,7 @@ func TestLayoutEquivalenceTable(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			for _, m := range allQueryMeasures {
 				for _, src := range sources {
-					batch, err := mode.store.ScoreBatch(m, src, cands, nil)
+					batch, err := mode.store.ScoreBatch(m, src, cands, nil, nil)
 					if err != nil {
 						t.Fatalf("m=%v: %v", m, err)
 					}
@@ -128,8 +128,8 @@ func TestPooledScratchScoreBatchRacesWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded.ProcessEdges(edges[:500])
-	shardedDir.ProcessArcs(edges[:500])
+	sharded.IngestBatch(edges[:500], nil)
+	shardedDir.IngestBatch(edges[:500], nil)
 
 	var wg sync.WaitGroup
 	writer := func(apply func([]stream.Edge)) {
@@ -143,7 +143,7 @@ func TestPooledScratchScoreBatchRacesWriter(t *testing.T) {
 		var out []float64
 		for i := 0; i < 40; i++ {
 			m := allQueryMeasures[(seed+i)%len(allQueryMeasures)]
-			got, err := store.ScoreBatch(m, cands[(seed+i)%len(cands)], cands, out)
+			got, err := store.ScoreBatch(m, cands[(seed+i)%len(cands)], cands, out, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -156,8 +156,8 @@ func TestPooledScratchScoreBatchRacesWriter(t *testing.T) {
 		}
 	}
 	wg.Add(6)
-	go writer(sharded.ProcessEdges)
-	go writer(shardedDir.ProcessArcs)
+	go writer(func(b []stream.Edge) { sharded.IngestBatch(b, nil) })
+	go writer(func(b []stream.Edge) { shardedDir.IngestBatch(b, nil) })
 	go reader(sharded, 0)
 	go reader(sharded, 1)
 	go reader(shardedDir, 2)

@@ -136,7 +136,7 @@ type SimilarVertex struct {
 func (x *LSHIndex) Similar(u uint64, minJaccard float64, limit int) []SimilarVertex {
 	var out []SimilarVertex
 	for _, v := range x.Candidates(u) {
-		if j := x.store.EstimateJaccard(u, v); j >= minJaccard {
+		if j, _ := x.store.Estimate(QueryJaccard, u, v); j >= minJaccard {
 			out = append(out, SimilarVertex{V: v, Jaccard: j})
 		}
 	}

@@ -120,6 +120,24 @@ func midpointWeight(m QueryMeasure, d float64) float64 {
 // place the measure formulas live; the sequential estimators and all
 // four batch paths end here, which is what makes them bit-identical to
 // each other.
+//
+// The formulas, per measure:
+//
+//   - Jaccard: the fraction of registers on which the two sketches
+//     agree, unbiased with Var = J(1−J)/K (theory.go has the (ε, δ)
+//     bound).
+//   - Common neighbors: Ĵ combined with the degree counters through the
+//     identity |A∩B| = J/(1+J) · (|A| + |B|).
+//   - Adamic–Adar and resource allocation (matched-register
+//     estimators): an agreeing register holds, by the MinHash argmin
+//     property, a uniformly random member of N(u)∩N(v), so averaging the
+//     weight (1/ln d(w), or 1/d(w)) of the matched members estimates the
+//     mean weight over the intersection, and ĈN times that mean
+//     estimates the sum. Weights use the store's live degree estimates,
+//     clamped at 2 (a true common neighbor has degree ≥ 2).
+//   - Preferential attachment: d(u)·d(v), exact in DegreeArrivals mode
+//     on duplicate-free streams.
+//   - Cosine: ĈN / sqrt(d(u)·d(v)); 0 when either degree is 0.
 func scoreFromSnapshot(m QueryMeasure, kf float64, matches int, weightSum, du, dv float64) float64 {
 	switch m {
 	case QueryJaccard:
@@ -146,7 +164,7 @@ func scoreFromSnapshot(m QueryMeasure, kf float64, matches int, weightSum, du, d
 }
 
 // estimatePair is the shared sequential estimator: every store's
-// Estimate method and per-measure Estimate* wrappers delegate here.
+// Estimate method delegates here.
 // Scores are 0 for pairs involving unknown vertices (an unseen vertex
 // has an empty neighborhood, for which every measure is 0).
 func estimatePair(s pairScorer, m QueryMeasure, u, v uint64) (float64, error) {

@@ -20,7 +20,7 @@ func TestResourceAllocationAccuracy(t *testing.T) {
 		if u == v || truth < 0.2 {
 			continue
 		}
-		est := s.EstimateResourceAllocation(u, v)
+		est := est(s, QueryResourceAllocation, u, v)
 		relErrs = append(relErrs, math.Abs(est-truth)/truth)
 	}
 	if len(relErrs) < 20 {
@@ -42,7 +42,7 @@ func TestPreferentialAttachmentExactUnderArrivals(t *testing.T) {
 	x := rng.NewXoshiro256(239)
 	for i := 0; i < 200; i++ {
 		u, v := uint64(x.Intn(100)), uint64(x.Intn(100))
-		if got, want := s.EstimatePreferentialAttachment(u, v), exact.PreferentialAttachment(g, u, v); got != want {
+		if got, want := est(s, QueryPreferentialAttachment, u, v), exact.PreferentialAttachment(g, u, v); got != want {
 			t.Fatalf("PA(%d,%d) = %v, want exact %v", u, v, got, want)
 		}
 	}
@@ -58,7 +58,7 @@ func TestCosineAccuracy(t *testing.T) {
 		if u == v {
 			continue
 		}
-		sum += math.Abs(s.EstimateCosine(u, v) - exact.Cosine(g, u, v))
+		sum += math.Abs(est(s, QueryCosine, u, v) - exact.Cosine(g, u, v))
 		n++
 	}
 	if mae := sum / float64(n); mae > 0.05 {
@@ -69,9 +69,9 @@ func TestCosineAccuracy(t *testing.T) {
 func TestExtraMeasuresUnknownVertices(t *testing.T) {
 	s, _ := NewSketchStore(Config{K: 16})
 	s.ProcessEdge(stream.Edge{U: 1, V: 2})
-	if s.EstimateResourceAllocation(1, 99) != 0 ||
-		s.EstimatePreferentialAttachment(99, 98) != 0 ||
-		s.EstimateCosine(1, 99) != 0 {
+	if est(s, QueryResourceAllocation, 1, 99) != 0 ||
+		est(s, QueryPreferentialAttachment, 99, 98) != 0 ||
+		est(s, QueryCosine, 1, 99) != 0 {
 		t.Error("extra measures with unknown vertices must return 0")
 	}
 }
@@ -82,12 +82,12 @@ func TestExtraMeasuresSymmetricAndFinite(t *testing.T) {
 	x := rng.NewXoshiro256(271)
 	for i := 0; i < 200; i++ {
 		u, v := uint64(x.Intn(100)), uint64(x.Intn(100))
-		for name, f := range map[string]func(uint64, uint64) float64{
-			"RA":     s.EstimateResourceAllocation,
-			"PA":     s.EstimatePreferentialAttachment,
-			"cosine": s.EstimateCosine,
+		for name, m := range map[string]QueryMeasure{
+			"RA":     QueryResourceAllocation,
+			"PA":     QueryPreferentialAttachment,
+			"cosine": QueryCosine,
 		} {
-			a, b := f(u, v), f(v, u)
+			a, b := est(s, m, u, v), est(s, m, v, u)
 			if a != b {
 				t.Fatalf("%s asymmetric at (%d,%d): %v vs %v", name, u, v, a, b)
 			}
@@ -110,11 +110,11 @@ func TestWeightedEstimatorBounds(t *testing.T) {
 		if u == v {
 			continue
 		}
-		cn := s.EstimateCommonNeighbors(u, v)
-		if ra := s.EstimateResourceAllocation(u, v); ra > cn/2+1e-9 {
+		cn := est(s, QueryCommonNeighbors, u, v)
+		if ra := est(s, QueryResourceAllocation, u, v); ra > cn/2+1e-9 {
 			t.Fatalf("estimated RA(%d,%d)=%v exceeds CN/2=%v", u, v, ra, cn/2)
 		}
-		if aa := s.EstimateAdamicAdar(u, v); aa > cn/math.Ln2+1e-9 {
+		if aa := est(s, QueryAdamicAdar, u, v); aa > cn/math.Ln2+1e-9 {
 			t.Fatalf("estimated AA(%d,%d)=%v exceeds CN/ln2=%v", u, v, aa, cn/math.Ln2)
 		}
 	}

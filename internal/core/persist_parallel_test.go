@@ -26,7 +26,7 @@ func TestParallelSaveByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ProcessEdges(edges)
+	s.IngestBatch(edges, nil)
 	var seq, par []byte
 	withGOMAXPROCS(1, func() { seq = pipelineSaveBytes(t, s.Save) })
 	withGOMAXPROCS(4, func() { par = pipelineSaveBytes(t, s.Save) })
@@ -38,7 +38,7 @@ func TestParallelSaveByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.ProcessArcs(edges)
+	d.IngestBatch(edges, nil)
 	var dseq, dpar []byte
 	withGOMAXPROCS(1, func() { dseq = pipelineSaveBytes(t, d.Save) })
 	withGOMAXPROCS(4, func() { dpar = pipelineSaveBytes(t, d.Save) })
@@ -57,7 +57,7 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ProcessEdges(edges)
+	s.IngestBatch(edges, nil)
 	img := pipelineSaveBytes(t, s.Save)
 
 	var fromSeq, fromPar *Sharded
@@ -90,7 +90,7 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.ProcessArcs(edges)
+	d.IngestBatch(edges, nil)
 	dimg := pipelineSaveBytes(t, d.Save)
 	var dSeq, dPar *ShardedDirected
 	withGOMAXPROCS(1, func() {
@@ -121,7 +121,7 @@ func TestParallelLoadCorruptImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ProcessEdges(randomEdges(100, 1500, 40169))
+	s.IngestBatch(randomEdges(100, 1500, 40169), nil)
 	img := pipelineSaveBytes(t, s.Save)
 	withGOMAXPROCS(4, func() {
 		for cut := 0; cut < len(img); cut += 97 {

@@ -32,9 +32,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	x := rng.NewXoshiro256(313)
 	for i := 0; i < 300; i++ {
 		u, v := uint64(x.Intn(200)), uint64(x.Intn(200))
-		if orig.EstimateJaccard(u, v) != loaded.EstimateJaccard(u, v) ||
-			orig.EstimateCommonNeighbors(u, v) != loaded.EstimateCommonNeighbors(u, v) ||
-			orig.EstimateAdamicAdar(u, v) != loaded.EstimateAdamicAdar(u, v) ||
+		if est(orig, QueryJaccard, u, v) != est(loaded, QueryJaccard, u, v) ||
+			est(orig, QueryCommonNeighbors, u, v) != est(loaded, QueryCommonNeighbors, u, v) ||
+			est(orig, QueryAdamicAdar, u, v) != est(loaded, QueryAdamicAdar, u, v) ||
 			orig.EstimateAdamicAdarBiased(u, v) != loaded.EstimateAdamicAdarBiased(u, v) ||
 			orig.Degree(u) != loaded.Degree(u) {
 			t.Fatalf("loaded store diverges at (%d,%d)", u, v)
@@ -72,8 +72,8 @@ func TestSaveLoadResumeStream(t *testing.T) {
 	x := rng.NewXoshiro256(337)
 	for i := 0; i < 200; i++ {
 		u, v := uint64(x.Intn(100)), uint64(x.Intn(100))
-		if full.EstimateJaccard(u, v) != resumed.EstimateJaccard(u, v) ||
-			full.EstimateAdamicAdar(u, v) != resumed.EstimateAdamicAdar(u, v) {
+		if est(full, QueryJaccard, u, v) != est(resumed, QueryJaccard, u, v) ||
+			est(full, QueryAdamicAdar, u, v) != est(resumed, QueryAdamicAdar, u, v) {
 			t.Fatalf("resumed store diverges from uninterrupted store at (%d,%d)", u, v)
 		}
 	}

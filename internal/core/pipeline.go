@@ -44,8 +44,8 @@ import (
 // Publish comes in two flavors:
 //
 //   - sync: the producer blocks until all owners finished its batch.
-//     ProcessEdges/ProcessArcs use this, so every caller-visible
-//     contract is unchanged — when the call returns the batch is
+//     IngestBatch uses this, so every caller-visible contract is
+//     unchanged — when the call returns the batch is
 //     applied, which is exactly what the Durable log-before-apply path
 //     and the Checkpoint/ScoreBatch quiesce points rely on.
 //   - async: the producer returns after enqueueing; flush() is the

@@ -43,7 +43,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqStore.ProcessEdges(edges)
+	seqStore.IngestBatch(edges, nil)
 	want := pipelineSaveBytes(t, seqStore.Save)
 
 	for _, workers := range []int{1, 2, 5} {
@@ -60,7 +60,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 				if hi > len(edges) {
 					hi = len(edges)
 				}
-				s.ProcessEdges(edges[lo:hi])
+				s.IngestBatch(edges[lo:hi], nil)
 			}
 			if s.NumEdges() != plain.NumEdges() {
 				t.Fatalf("workers=%d batch=%d: NumEdges %d != %d", workers, batch, s.NumEdges(), plain.NumEdges())
@@ -84,7 +84,7 @@ func TestPipelineDirectedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqStore.ProcessArcs(arcs)
+	seqStore.IngestBatch(arcs, nil)
 	want := pipelineSaveBytes(t, seqStore.Save)
 
 	for _, workers := range []int{1, 3} {
@@ -100,7 +100,7 @@ func TestPipelineDirectedMatchesSequential(t *testing.T) {
 			if hi > len(arcs) {
 				hi = len(arcs)
 			}
-			s.ProcessArcs(arcs[lo:hi])
+			s.IngestBatch(arcs[lo:hi], nil)
 		}
 		s.StopPipeline()
 		if got := pipelineSaveBytes(t, s.Save); !bytes.Equal(got, want) {
@@ -121,7 +121,7 @@ func TestPipelineAsyncFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqStore.ProcessEdges(edges)
+	seqStore.IngestBatch(edges, nil)
 	want := pipelineSaveBytes(t, seqStore.Save)
 
 	s, err := NewSharded(cfg, 8)
@@ -159,7 +159,7 @@ func TestPipelineAsyncFlush(t *testing.T) {
 	s2.ProcessEdgesAsync(edges)
 	s2.FlushIngest()
 	if got := pipelineSaveBytes(t, s2.Save); !bytes.Equal(got, want) {
-		t.Fatal("pipeline-less ProcessEdgesAsync differs from ProcessEdges")
+		t.Fatal("pipeline-less ProcessEdgesAsync differs from IngestBatch")
 	}
 }
 
@@ -242,7 +242,7 @@ func TestPipelineBackpressureStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.ProcessEdges(edges)
+	ref.IngestBatch(edges, nil)
 	if !bytes.Equal(pipelineSaveBytes(t, s.Save), pipelineSaveBytes(t, ref.Save)) {
 		t.Fatal("backpressured ingest lost or reordered register updates")
 	}
@@ -266,7 +266,7 @@ func TestPipelineGaugeConsistency(t *testing.T) {
 		if hi > len(edges) {
 			hi = len(edges)
 		}
-		s.ProcessEdges(edges[lo:hi])
+		s.IngestBatch(edges[lo:hi], nil)
 	}
 	s.StopPipeline()
 	loaded, err := LoadSharded(bytes.NewReader(pipelineSaveBytes(t, s.Save)))
@@ -318,7 +318,7 @@ func TestPipelineRaceStress(t *testing.T) {
 				if async {
 					s.ProcessEdgesAsync(chunk[lo:hi])
 				} else {
-					s.ProcessEdges(chunk[lo:hi])
+					s.IngestBatch(chunk[lo:hi], nil)
 				}
 			}
 		}(edges[lo:hi], w%2 == 1)
@@ -327,7 +327,7 @@ func TestPipelineRaceStress(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 400; i++ {
-			s.EstimateJaccard(uint64(i%250), uint64((i*7)%250))
+			est(s, QueryJaccard, uint64(i%250), uint64((i*7)%250))
 			s.Degree(uint64(i % 250))
 			s.NumVertices()
 			s.MemoryBytes()
@@ -350,7 +350,7 @@ func TestPipelineRaceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.ProcessEdges(edges)
+	ref.IngestBatch(edges, nil)
 	if !bytes.Equal(pipelineSaveBytes(t, s.Save), pipelineSaveBytes(t, ref.Save)) {
 		t.Fatal("concurrent pipeline ingest diverged from sequential reference")
 	}

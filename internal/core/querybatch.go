@@ -175,16 +175,12 @@ func (sc *queryScratch) fanOut(out []float64) {
 // each shard's candidates directly from its register bank under one
 // RLock per shard per batch. Per-query lock cost is O(shards + K), not
 // O(candidates).
-func (s *Sharded) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
-	return s.ScoreBatchCancel(m, u, candidates, out, nil)
-}
-
-// ScoreBatchCancel is ScoreBatch with cooperative cancellation: done
-// (non-nil) is polled before the batch starts and before each shard is
-// claimed, so an expired request stops consuming query workers at shard
-// granularity. A fired done returns ErrCanceled; out's contents are
-// then unspecified.
-func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
+//
+// done (nil never cancels) is polled before the batch starts and before
+// each shard is claimed, so an expired request stops consuming query
+// workers at shard granularity. A fired done returns ErrCanceled; out's
+// contents are then unspecified.
+func (s *Sharded) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
 	if !m.valid() {
 		return nil, fmt.Errorf("core: unknown query measure %v", m)
 	}
@@ -342,14 +338,9 @@ func (s *Sharded) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64
 // the in-side of each candidate). Semantics otherwise mirror
 // Sharded.ScoreBatch: one RLock pins the source's out-sketch, and
 // workers score each shard's candidates in place from its in-side
-// register bank under one RLock per shard per batch.
-func (s *ShardedDirected) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
-	return s.ScoreBatchCancel(m, u, candidates, out, nil)
-}
-
-// ScoreBatchCancel is ScoreBatch with cooperative cancellation at shard
-// granularity; see Sharded.ScoreBatchCancel for the exact semantics.
-func (s *ShardedDirected) ScoreBatchCancel(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
+// register bank under one RLock per shard per batch, with the same
+// shard-granular cancellation.
+func (s *ShardedDirected) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
 	if !m.valid() {
 		return nil, fmt.Errorf("core: unknown query measure %v", m)
 	}

@@ -6,7 +6,8 @@ import (
 )
 
 // Batched query paths for the single-writer stores (SketchStore,
-// Windowed). There are no locks to amortize here, but the other two
+// Windowed; DirectedStore's ScoreBatch, at the end of this file, is a
+// per-pair loop). There are no locks to amortize here, but the other two
 // batch wins carry over: the weighted measures' per-register weights are
 // precomputed once per batch (≤ K degree lookups instead of one per
 // matched register per pair — for Windowed each such lookup is an
@@ -18,14 +19,18 @@ import (
 // scores into out (grown as needed) aligned with candidates. All six
 // measures are supported; scores are bit-identical to the corresponding
 // per-pair estimators. Like the estimator methods, it must not run
-// concurrently with ProcessEdge.
-func (s *SketchStore) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
+// concurrently with ProcessEdge. done is polled once, before scoring
+// starts.
+func (s *SketchStore) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
 	if !m.valid() {
 		return nil, fmt.Errorf("core: unknown query measure %v", m)
 	}
 	out = grow(out, len(candidates))
 	if len(candidates) == 0 {
 		return out, nil
+	}
+	if canceled(done) {
+		return out, ErrCanceled
 	}
 	su := s.vertices[u]
 	if su == nil {
@@ -115,14 +120,17 @@ func (w *Windowed) mergedInto(u uint64, vals []uint64) (eff int, arrivals int64,
 // pair (O(gens·K) each). The batch path merges the source once,
 // precomputes the ≤ K midpoint weights once, and merges each candidate
 // exactly once, on GOMAXPROCS-bounded workers. Must not run concurrently
-// with ProcessEdge.
-func (w *Windowed) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error) {
+// with ProcessEdge. done is polled once, before scoring starts.
+func (w *Windowed) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
 	if !m.valid() {
 		return nil, fmt.Errorf("core: unknown query measure %v", m)
 	}
 	out = grow(out, len(candidates))
 	if len(candidates) == 0 {
 		return out, nil
+	}
+	if canceled(done) {
+		return out, ErrCanceled
 	}
 	uv, uids, uarr, okU := w.merged(u)
 	if !okU {
@@ -173,6 +181,29 @@ func (w *Windowed) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out
 		mergeBufPool.Put(bufp)
 	})
 	queryPool.Put(sc)
+	return out, nil
+}
+
+// ScoreBatch scores every candidate arc u → candidate under measure m,
+// writing scores into out aligned with candidates. The single-writer
+// directed store has no batch kernel: it scores pair by pair through
+// Estimate, so scores are trivially bit-identical to it. done is polled
+// once, before scoring starts. Must not run concurrently with
+// ProcessArc.
+func (s *DirectedStore) ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error) {
+	if !m.valid() {
+		return nil, fmt.Errorf("core: unknown query measure %v", m)
+	}
+	out = grow(out, len(candidates))
+	if len(candidates) == 0 {
+		return out, nil
+	}
+	if canceled(done) {
+		return out, ErrCanceled
+	}
+	for i, v := range candidates {
+		out[i], _ = estimatePair(s, m, u, v) // m is valid: no error
+	}
 	return out, nil
 }
 

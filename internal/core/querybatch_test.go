@@ -41,35 +41,6 @@ func batchEdges(seed uint64, nEdges int) ([]stream.Edge, []uint64) {
 	return edges, cands
 }
 
-// seqScore evaluates one measure with the sequential per-pair estimator
-// of any store exposing the full estimator set.
-type fullEstimator interface {
-	EstimateJaccard(u, v uint64) float64
-	EstimateCommonNeighbors(u, v uint64) float64
-	EstimateAdamicAdar(u, v uint64) float64
-	EstimateResourceAllocation(u, v uint64) float64
-	EstimatePreferentialAttachment(u, v uint64) float64
-	EstimateCosine(u, v uint64) float64
-}
-
-func seqScore(s fullEstimator, m QueryMeasure, u, v uint64) float64 {
-	switch m {
-	case QueryJaccard:
-		return s.EstimateJaccard(u, v)
-	case QueryCommonNeighbors:
-		return s.EstimateCommonNeighbors(u, v)
-	case QueryAdamicAdar:
-		return s.EstimateAdamicAdar(u, v)
-	case QueryResourceAllocation:
-		return s.EstimateResourceAllocation(u, v)
-	case QueryPreferentialAttachment:
-		return s.EstimatePreferentialAttachment(u, v)
-	case QueryCosine:
-		return s.EstimateCosine(u, v)
-	}
-	panic("unknown measure")
-}
-
 var allQueryMeasures = []QueryMeasure{
 	QueryJaccard, QueryCommonNeighbors, QueryAdamicAdar,
 	QueryResourceAllocation, QueryPreferentialAttachment, QueryCosine,
@@ -82,10 +53,10 @@ func TestShardedScoreBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.ProcessEdges(edges)
+		s.IngestBatch(edges, nil)
 		for _, src := range []uint64{edges[0].U, 3, 999 /* unknown */} {
 			for _, m := range allQueryMeasures {
-				got, err := s.ScoreBatch(m, src, cands, nil)
+				got, err := s.ScoreBatch(m, src, cands, nil, nil)
 				if err != nil {
 					t.Fatalf("degrees=%v ScoreBatch(%v): %v", degrees, m, err)
 				}
@@ -93,7 +64,7 @@ func TestShardedScoreBatchMatchesSequential(t *testing.T) {
 					t.Fatalf("got %d scores for %d candidates", len(got), len(cands))
 				}
 				for i, v := range cands {
-					want := seqScore(s, m, src, v)
+					want := est(s, m, src, v)
 					if !sameFloat(got[i], want) {
 						t.Fatalf("degrees=%v m=%v u=%d v=%d: batch=%v seq=%v",
 							degrees, m, src, v, got[i], want)
@@ -109,7 +80,7 @@ func TestShardedScoreBatchRejectsBadMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ScoreBatch(QueryMeasure(99), 1, []uint64{2}, nil); err == nil {
+	if _, err := s.ScoreBatch(QueryMeasure(99), 1, []uint64{2}, nil, nil); err == nil {
 		t.Fatal("want error for invalid measure")
 	}
 }
@@ -126,12 +97,12 @@ func TestShardedDirectedScoreBatchMatchesSequential(t *testing.T) {
 		}
 		for _, src := range []uint64{edges[0].U, 3, 999} {
 			for _, m := range allQueryMeasures {
-				got, err := s.ScoreBatch(m, src, cands, nil)
+				got, err := s.ScoreBatch(m, src, cands, nil, nil)
 				if err != nil {
 					t.Fatalf("degrees=%v ScoreBatch(%v): %v", degrees, m, err)
 				}
 				for i, v := range cands {
-					if want := seqScore(s, m, src, v); !sameFloat(got[i], want) {
+					if want := est(s, m, src, v); !sameFloat(got[i], want) {
 						t.Fatalf("degrees=%v m=%v u=%d v=%d: batch=%v seq=%v",
 							degrees, m, src, v, got[i], want)
 					}
@@ -153,12 +124,12 @@ func TestSketchStoreScoreBatchMatchesSequential(t *testing.T) {
 		}
 		for _, src := range []uint64{edges[0].U, 3, 999} {
 			for _, m := range allQueryMeasures {
-				got, err := s.ScoreBatch(m, src, cands, nil)
+				got, err := s.ScoreBatch(m, src, cands, nil, nil)
 				if err != nil {
 					t.Fatalf("degrees=%v ScoreBatch(%v): %v", degrees, m, err)
 				}
 				for i, v := range cands {
-					if want := seqScore(s, m, src, v); !sameFloat(got[i], want) {
+					if want := est(s, m, src, v); !sameFloat(got[i], want) {
 						t.Fatalf("degrees=%v m=%v u=%d v=%d: batch=%v seq=%v",
 							degrees, m, src, v, got[i], want)
 					}
@@ -179,12 +150,12 @@ func TestWindowedScoreBatchMatchesSequential(t *testing.T) {
 	}
 	for _, src := range []uint64{edges[len(edges)-1].U, 3, 999} {
 		for _, m := range allQueryMeasures {
-			got, err := w.ScoreBatch(m, src, cands, nil)
+			got, err := w.ScoreBatch(m, src, cands, nil, nil)
 			if err != nil {
 				t.Fatalf("ScoreBatch(%v): %v", m, err)
 			}
 			for i, v := range cands {
-				if want := seqScore(w, m, src, v); !sameFloat(got[i], want) {
+				if want := est(w, m, src, v); !sameFloat(got[i], want) {
 					t.Fatalf("m=%v u=%d v=%d: batch=%v seq=%v", m, src, v, got[i], want)
 				}
 			}
@@ -201,14 +172,14 @@ func TestShardedScoreBatchRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ProcessEdges(edges[:1000])
+	s.IngestBatch(edges[:1000], nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(chunk []stream.Edge) {
 			defer wg.Done()
 			for lo := 0; lo < len(chunk); lo += 128 {
-				s.ProcessEdges(chunk[lo:min(lo+128, len(chunk))])
+				s.IngestBatch(chunk[lo:min(lo+128, len(chunk))], nil)
 			}
 		}(edges[1000+w*1500 : 1000+(w+1)*1500])
 	}
@@ -218,7 +189,7 @@ func TestShardedScoreBatchRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				m := allQueryMeasures[i%len(allQueryMeasures)]
-				got, err := s.ScoreBatch(m, cands[i%len(cands)], cands, nil)
+				got, err := s.ScoreBatch(m, cands[i%len(cands)], cands, nil, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -262,7 +233,7 @@ func TestShardedGauges(t *testing.T) {
 		s.ProcessEdge(e)
 	}
 	check("per-edge", s)
-	s.ProcessEdges(edges[500:])
+	s.IngestBatch(edges[500:], nil)
 	check("batched", s)
 
 	var buf bytes.Buffer

@@ -37,7 +37,7 @@ type Sharded struct {
 	edges  atomic.Int64
 
 	// Per-shard gauges refreshed at the tail of every write-locked apply
-	// (ProcessEdge, ProcessEdges, load), so aggregate scrapes
+	// (ProcessEdge, IngestBatch, load), so aggregate scrapes
 	// (NumVertices, MemoryBytes — hit on every /metrics poll) are
 	// O(shards) lock-free reads instead of taking and releasing every
 	// shard lock serially per call.
@@ -46,7 +46,7 @@ type Sharded struct {
 
 	// pipe is the optional shard-owner ingest pipeline (pipeline.go);
 	// nil means batched ingest uses the lock-handoff fan-out. Swapped
-	// atomically so ProcessEdges can check it without a lock.
+	// atomically so IngestBatch can check it without a lock.
 	pipe atomic.Pointer[pipeline]
 }
 
@@ -148,7 +148,7 @@ var edgeHashPool = sync.Pool{New: func() any { return new([]uint64) }}
 // ProcessEdge folds one edge into the sketches of both endpoints. Safe
 // for concurrent use. Both hash vectors are computed before any lock is
 // taken, so the locks cover only the O(K) register merges. For bulk
-// ingest prefer ProcessEdges, which additionally amortizes lock
+// ingest prefer IngestBatch, which additionally amortizes lock
 // acquisitions over whole batches.
 func (s *Sharded) ProcessEdge(e stream.Edge) {
 	if e.IsSelfLoop() {
@@ -263,49 +263,6 @@ func (s *Sharded) midpointDegree(w uint64) float64 { return s.Degree(w) }
 // pair locks are released, the same timing caveat as always).
 func (s *Sharded) Estimate(m QueryMeasure, u, v uint64) (float64, error) {
 	return estimatePair(s, m, u, v)
-}
-
-// EstimateJaccard estimates the Jaccard coefficient of (u, v). Safe for
-// concurrent use.
-func (s *Sharded) EstimateJaccard(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryJaccard, u, v)
-	return f
-}
-
-// EstimateCommonNeighbors estimates |N(u) ∩ N(v)|. Safe for concurrent
-// use.
-func (s *Sharded) EstimateCommonNeighbors(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryCommonNeighbors, u, v)
-	return f
-}
-
-// EstimateAdamicAdar estimates the Adamic–Adar index with the
-// matched-register estimator. Safe for concurrent use.
-func (s *Sharded) EstimateAdamicAdar(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryAdamicAdar, u, v)
-	return f
-}
-
-// EstimateResourceAllocation estimates the resource-allocation index.
-// Safe for concurrent use.
-func (s *Sharded) EstimateResourceAllocation(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryResourceAllocation, u, v)
-	return f
-}
-
-// EstimatePreferentialAttachment returns d(u)·d(v) under the store's
-// degree estimates. Safe for concurrent use.
-func (s *Sharded) EstimatePreferentialAttachment(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryPreferentialAttachment, u, v)
-	return f
-}
-
-// EstimateCosine returns the estimated cosine (Salton) similarity
-// |N(u)∩N(v)| / sqrt(d(u)·d(v)). Safe for concurrent use. Pairs
-// involving unknown or isolated vertices score 0.
-func (s *Sharded) EstimateCosine(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryCosine, u, v)
-	return f
 }
 
 // Degree returns the degree estimate of u under the configured mode.

@@ -118,7 +118,7 @@ func BenchmarkShardedIngestParallel(b *testing.B) {
 								if pos+chunk > len(edges) {
 									chunk = len(edges) - pos
 								}
-								s.ProcessEdges(edges[pos : pos+chunk])
+								s.IngestBatch(edges[pos:pos+chunk], nil)
 								n -= chunk
 								if pos += chunk; pos == len(edges) {
 									pos = 0
@@ -148,7 +148,7 @@ func BenchmarkShardedScoreBatch(b *testing.B) {
 	deg := make(map[uint64]int)
 	for lo := 0; lo < len(edges); lo += 256 {
 		hi := min(lo+256, len(edges))
-		s.ProcessEdges(edges[lo:hi])
+		s.IngestBatch(edges[lo:hi], nil)
 		for _, e := range edges[lo:hi] {
 			deg[e.U]++
 			deg[e.V]++
@@ -171,7 +171,7 @@ func BenchmarkShardedScoreBatch(b *testing.B) {
 		b.Run(m.String(), func(b *testing.B) {
 			var out []float64
 			for i := 0; i < b.N; i++ {
-				out, err = s.ScoreBatch(m, u, cands, out)
+				out, err = s.ScoreBatch(m, u, cands, out, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

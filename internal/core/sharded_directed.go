@@ -134,7 +134,7 @@ func (st *DirectedStore) applyHalfArc(owner, nbr uint64, out bool, nbrHashes []u
 
 // ProcessArc folds the arc u → v into the sketches. Safe for concurrent
 // use. As in Sharded.ProcessEdge, both hash vectors are computed before
-// any lock is taken; ProcessArcs additionally amortizes lock
+// any lock is taken; IngestBatch additionally amortizes lock
 // acquisitions over whole batches.
 func (s *ShardedDirected) ProcessArc(e stream.Edge) {
 	if e.IsSelfLoop() {
@@ -247,51 +247,6 @@ func (s *ShardedDirected) midpointDegree(w uint64) float64 {
 // are read after the pair locks are released, the usual timing caveat).
 func (s *ShardedDirected) Estimate(m QueryMeasure, u, v uint64) (float64, error) {
 	return estimatePair(s, m, u, v)
-}
-
-// EstimateJaccard estimates the directed Jaccard of the candidate arc
-// u → v. Safe for concurrent use.
-func (s *ShardedDirected) EstimateJaccard(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryJaccard, u, v)
-	return f
-}
-
-// EstimateCommonNeighbors estimates |{w : u → w → v}|. Safe for
-// concurrent use.
-func (s *ShardedDirected) EstimateCommonNeighbors(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryCommonNeighbors, u, v)
-	return f
-}
-
-// EstimateAdamicAdar estimates the directed Adamic–Adar index of u → v.
-// Safe for concurrent use; midpoint degrees are read one shard at a time
-// after the pair locks are released (see Sharded for the discipline).
-func (s *ShardedDirected) EstimateAdamicAdar(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryAdamicAdar, u, v)
-	return f
-}
-
-// EstimateResourceAllocation estimates the directed resource-allocation
-// index of u → v (Adamic–Adar with 1/d midpoint weights). Safe for
-// concurrent use.
-func (s *ShardedDirected) EstimateResourceAllocation(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryResourceAllocation, u, v)
-	return f
-}
-
-// EstimatePreferentialAttachment returns the directed degree product
-// d_out(u)·d_in(v). Safe for concurrent use.
-func (s *ShardedDirected) EstimatePreferentialAttachment(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryPreferentialAttachment, u, v)
-	return f
-}
-
-// EstimateCosine returns the estimated directed cosine similarity
-// |N_out(u) ∩ N_in(v)| / sqrt(d_out(u)·d_in(v)). Safe for concurrent
-// use.
-func (s *ShardedDirected) EstimateCosine(u, v uint64) float64 {
-	f, _ := estimatePair(s, QueryCosine, u, v)
-	return f
 }
 
 // OutDegree returns the out-degree estimate of u. Safe for concurrent

@@ -52,22 +52,22 @@ func TestShardedDirectedMatchesUnsharded(t *testing.T) {
 		x := rng.NewXoshiro256(811)
 		for i := 0; i < 300; i++ {
 			u, v := uint64(x.Intn(200)), uint64(x.Intn(200))
-			if a, b := sharded.EstimateJaccard(u, v), plain.EstimateJaccard(u, v); a != b {
+			if a, b := est(sharded, QueryJaccard, u, v), est(plain, QueryJaccard, u, v); a != b {
 				t.Fatalf("shards=%d: J(%d→%d) %v != %v", nShards, u, v, a, b)
 			}
-			if a, b := sharded.EstimateCommonNeighbors(u, v), plain.EstimateCommonNeighbors(u, v); a != b {
+			if a, b := est(sharded, QueryCommonNeighbors, u, v), est(plain, QueryCommonNeighbors, u, v); a != b {
 				t.Fatalf("shards=%d: CN(%d→%d) %v != %v", nShards, u, v, a, b)
 			}
-			if a, b := sharded.EstimateAdamicAdar(u, v), plain.EstimateAdamicAdar(u, v); math.Abs(a-b) > 1e-12 {
+			if a, b := est(sharded, QueryAdamicAdar, u, v), est(plain, QueryAdamicAdar, u, v); math.Abs(a-b) > 1e-12 {
 				t.Fatalf("shards=%d: AA(%d→%d) %v != %v", nShards, u, v, a, b)
 			}
-			if a, b := sharded.EstimateResourceAllocation(u, v), plain.EstimateResourceAllocation(u, v); math.Abs(a-b) > 1e-12 {
+			if a, b := est(sharded, QueryResourceAllocation, u, v), est(plain, QueryResourceAllocation, u, v); math.Abs(a-b) > 1e-12 {
 				t.Fatalf("shards=%d: RA(%d→%d) %v != %v", nShards, u, v, a, b)
 			}
-			if a, b := sharded.EstimatePreferentialAttachment(u, v), plain.EstimatePreferentialAttachment(u, v); a != b {
+			if a, b := est(sharded, QueryPreferentialAttachment, u, v), est(plain, QueryPreferentialAttachment, u, v); a != b {
 				t.Fatalf("shards=%d: PA(%d→%d) %v != %v", nShards, u, v, a, b)
 			}
-			if a, b := sharded.EstimateCosine(u, v), plain.EstimateCosine(u, v); a != b {
+			if a, b := est(sharded, QueryCosine, u, v), est(plain, QueryCosine, u, v); a != b {
 				t.Fatalf("shards=%d: cosine(%d→%d) %v != %v", nShards, u, v, a, b)
 			}
 			if sharded.OutDegree(u) != plain.OutDegree(u) || sharded.InDegree(u) != plain.InDegree(u) {
@@ -111,11 +111,11 @@ func TestShardedDirectedConcurrent(t *testing.T) {
 		x := rng.NewXoshiro256(827)
 		for i := 0; i < 3000; i++ {
 			u, v := uint64(x.Intn(150)), uint64(x.Intn(150))
-			if j := sharded.EstimateJaccard(u, v); j < 0 || j > 1 || math.IsNaN(j) {
+			if j := est(sharded, QueryJaccard, u, v); j < 0 || j > 1 || math.IsNaN(j) {
 				t.Errorf("J(%d→%d) = %v invalid mid-ingest", u, v, j)
 				return
 			}
-			if aa := sharded.EstimateAdamicAdar(u, v); aa < 0 || math.IsNaN(aa) || math.IsInf(aa, 0) {
+			if aa := est(sharded, QueryAdamicAdar, u, v); aa < 0 || math.IsNaN(aa) || math.IsInf(aa, 0) {
 				t.Errorf("AA(%d→%d) = %v invalid mid-ingest", u, v, aa)
 				return
 			}
@@ -128,7 +128,7 @@ func TestShardedDirectedConcurrent(t *testing.T) {
 	x := rng.NewXoshiro256(829)
 	for i := 0; i < 300; i++ {
 		u, v := uint64(x.Intn(150)), uint64(x.Intn(150))
-		if sharded.EstimateJaccard(u, v) != sequential.EstimateJaccard(u, v) {
+		if est(sharded, QueryJaccard, u, v) != est(sequential, QueryJaccard, u, v) {
 			t.Fatalf("concurrent ingest diverges at J(%d→%d)", u, v)
 		}
 	}
@@ -144,7 +144,7 @@ func TestShardedDirectedSelfLoopAndUnknown(t *testing.T) {
 		t.Error("self-loop should be ignored")
 	}
 	s.ProcessArc(stream.Edge{U: 1, V: 2})
-	if s.EstimateJaccard(1, 99) != 0 || s.EstimateCommonNeighbors(99, 1) != 0 {
+	if est(s, QueryJaccard, 1, 99) != 0 || est(s, QueryCommonNeighbors, 99, 1) != 0 {
 		t.Error("unknown vertices must score 0")
 	}
 }

@@ -35,9 +35,9 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	x := rng.NewXoshiro256(613)
 	for i := 0; i < 300; i++ {
 		u, v := uint64(x.Intn(200)), uint64(x.Intn(200))
-		if s.EstimateJaccard(u, v) != loaded.EstimateJaccard(u, v) ||
-			s.EstimateCommonNeighbors(u, v) != loaded.EstimateCommonNeighbors(u, v) ||
-			s.EstimateAdamicAdar(u, v) != loaded.EstimateAdamicAdar(u, v) ||
+		if est(s, QueryJaccard, u, v) != est(loaded, QueryJaccard, u, v) ||
+			est(s, QueryCommonNeighbors, u, v) != est(loaded, QueryCommonNeighbors, u, v) ||
+			est(s, QueryAdamicAdar, u, v) != est(loaded, QueryAdamicAdar, u, v) ||
 			s.Degree(u) != loaded.Degree(u) {
 			t.Fatalf("loaded sharded store diverges at (%d,%d)", u, v)
 		}
@@ -51,7 +51,7 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		u, v := uint64(x.Intn(200)), uint64(x.Intn(200))
-		if s.EstimateJaccard(u, v) != loaded.EstimateJaccard(u, v) {
+		if est(s, QueryJaccard, u, v) != est(loaded, QueryJaccard, u, v) {
 			t.Fatalf("post-resume divergence at (%d,%d)", u, v)
 		}
 	}

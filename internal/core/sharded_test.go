@@ -62,13 +62,13 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		x := rng.NewXoshiro256(419)
 		for i := 0; i < 300; i++ {
 			u, v := uint64(x.Intn(200)), uint64(x.Intn(200))
-			if a, b := sharded.EstimateJaccard(u, v), plain.EstimateJaccard(u, v); a != b {
+			if a, b := est(sharded, QueryJaccard, u, v), est(plain, QueryJaccard, u, v); a != b {
 				t.Fatalf("shards=%d: Jaccard(%d,%d) %v != %v", nShards, u, v, a, b)
 			}
-			if a, b := sharded.EstimateCommonNeighbors(u, v), plain.EstimateCommonNeighbors(u, v); a != b {
+			if a, b := est(sharded, QueryCommonNeighbors, u, v), est(plain, QueryCommonNeighbors, u, v); a != b {
 				t.Fatalf("shards=%d: CN(%d,%d) %v != %v", nShards, u, v, a, b)
 			}
-			if a, b := sharded.EstimateAdamicAdar(u, v), plain.EstimateAdamicAdar(u, v); math.Abs(a-b) > 1e-12 {
+			if a, b := est(sharded, QueryAdamicAdar, u, v), est(plain, QueryAdamicAdar, u, v); math.Abs(a-b) > 1e-12 {
 				t.Fatalf("shards=%d: AA(%d,%d) %v != %v", nShards, u, v, a, b)
 			}
 			if a, b := sharded.Degree(u), plain.Degree(u); a != b {
@@ -117,7 +117,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 	x := rng.NewXoshiro256(433)
 	for i := 0; i < 300; i++ {
 		u, v := uint64(x.Intn(150)), uint64(x.Intn(150))
-		if a, b := sharded.EstimateJaccard(u, v), sequential.EstimateJaccard(u, v); a != b {
+		if a, b := est(sharded, QueryJaccard, u, v), est(sequential, QueryJaccard, u, v); a != b {
 			t.Fatalf("concurrent ingest diverges at Jaccard(%d,%d): %v != %v", u, v, a, b)
 		}
 		if a, b := sharded.Degree(u), sequential.Degree(u); a != b {
@@ -149,15 +149,15 @@ func TestShardedConcurrentQueriesDuringIngest(t *testing.T) {
 			x := rng.NewXoshiro256(seed)
 			for i := 0; i < 2000; i++ {
 				u, v := uint64(x.Intn(100)), uint64(x.Intn(100))
-				if j := sharded.EstimateJaccard(u, v); j < 0 || j > 1 || math.IsNaN(j) {
+				if j := est(sharded, QueryJaccard, u, v); j < 0 || j > 1 || math.IsNaN(j) {
 					t.Errorf("Jaccard(%d,%d) = %v out of range mid-ingest", u, v, j)
 					return
 				}
-				if aa := sharded.EstimateAdamicAdar(u, v); aa < 0 || math.IsNaN(aa) || math.IsInf(aa, 0) {
+				if aa := est(sharded, QueryAdamicAdar, u, v); aa < 0 || math.IsNaN(aa) || math.IsInf(aa, 0) {
 					t.Errorf("AA(%d,%d) = %v invalid mid-ingest", u, v, aa)
 					return
 				}
-				if ra := sharded.EstimateResourceAllocation(u, v); ra < 0 || math.IsNaN(ra) {
+				if ra := est(sharded, QueryResourceAllocation, u, v); ra < 0 || math.IsNaN(ra) {
 					t.Errorf("RA(%d,%d) = %v invalid mid-ingest", u, v, ra)
 					return
 				}
@@ -183,8 +183,8 @@ func TestShardedSelfLoopIgnored(t *testing.T) {
 func TestShardedUnknownVertices(t *testing.T) {
 	s, _ := NewSharded(Config{K: 8, Seed: 1}, 2)
 	s.ProcessEdge(stream.Edge{U: 1, V: 2})
-	if s.EstimateJaccard(1, 99) != 0 || s.EstimateCommonNeighbors(99, 98) != 0 ||
-		s.EstimateAdamicAdar(1, 99) != 0 || s.Degree(99) != 0 {
+	if est(s, QueryJaccard, 1, 99) != 0 || est(s, QueryCommonNeighbors, 99, 98) != 0 ||
+		est(s, QueryAdamicAdar, 1, 99) != 0 || s.Degree(99) != 0 {
 		t.Error("unknown vertices must score 0")
 	}
 }
@@ -210,19 +210,19 @@ func TestShardedCosineAndPAMatchSingleStore(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		u, v := x.Uint64()%100, x.Uint64()%100
-		if got, want := sharded.EstimatePreferentialAttachment(u, v), single.EstimatePreferentialAttachment(u, v); got != want {
+		if got, want := est(sharded, QueryPreferentialAttachment, u, v), est(single, QueryPreferentialAttachment, u, v); got != want {
 			t.Fatalf("PA(%d,%d) = %v, single store = %v", u, v, got, want)
 		}
-		got, want := sharded.EstimateCosine(u, v), single.EstimateCosine(u, v)
+		got, want := est(sharded, QueryCosine, u, v), est(single, QueryCosine, u, v)
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("cosine(%d,%d) = %v, single store = %v", u, v, got, want)
 		}
 	}
 	// Unknown and isolated vertices score 0, not NaN.
-	if c := sharded.EstimateCosine(1, 999_999); c != 0 {
+	if c := est(sharded, QueryCosine, 1, 999_999); c != 0 {
 		t.Errorf("cosine with unknown vertex = %v, want 0", c)
 	}
-	if pa := sharded.EstimatePreferentialAttachment(999_998, 999_999); pa != 0 {
+	if pa := est(sharded, QueryPreferentialAttachment, 999_998, 999_999); pa != 0 {
 		t.Errorf("PA with unknown vertices = %v, want 0", pa)
 	}
 }

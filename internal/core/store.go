@@ -326,17 +326,6 @@ func (s *SketchStore) ProcessEdge(e stream.Edge) {
 	}
 }
 
-// ProcessEdges folds a batch of edges in order. For the single-threaded
-// store it is exactly a loop over ProcessEdge — there are no locks to
-// amortize — and exists so callers can drive the plain and sharded
-// stores through one batch-shaped API (the sharded ProcessEdges is the
-// one with the staged pipeline).
-func (s *SketchStore) ProcessEdges(edges []stream.Edge) {
-	for _, e := range edges {
-		s.ProcessEdge(e)
-	}
-}
-
 // Process consumes an entire stream, returning the number of edges
 // processed and the first source error, if any.
 func (s *SketchStore) Process(src stream.Source) (int64, error) {

@@ -8,10 +8,15 @@ import (
 
 // Store is the mode-agnostic contract every sketch store satisfies: the
 // plain SketchStore, the sharded concurrent store, the two directed
-// stores, and the windowed store. It covers the full serving surface —
-// ingest, all query measures, the stats gauges, and persistence — so
-// the root facades and the HTTP server are written once against this
-// interface instead of once per store.
+// stores, the windowed store and the dynamic store. It covers the full
+// serving surface — ingest, all query measures, the stats gauges, and
+// persistence — so the root facades and the HTTP server are written
+// once against this interface instead of once per store.
+//
+// Each operation has one entry point. The batched ones, IngestBatch and
+// ScoreBatch, take a done channel for cooperative cancellation (see
+// cancel.go); a nil done never cancels and costs nothing, which is how
+// callers without a deadline call them.
 //
 // Directed stores implement the interface under the directed reading:
 // Ingest(e) processes the arc U → V, Estimate(m, u, v) scores the
@@ -33,11 +38,28 @@ type Store interface {
 	// sketches. Self-loops are ignored.
 	Ingest(e stream.Edge)
 
+	// IngestBatch folds a batch of edges (arcs, on directed stores),
+	// leaving the same register state as Ingest on each in order. If
+	// done fires before the batch is handed to the store it returns
+	// ErrCanceled and applies nothing; once applying starts the batch
+	// completes. The sharded stores amortize hashing and locking over
+	// the batch (batch.go); the single-writer stores poll done once and
+	// fold edge by edge.
+	IngestBatch(edges []stream.Edge, done <-chan struct{}) error
+
 	// Estimate returns the estimate of measure m for the pair (u, v) —
 	// the candidate arc u → v on directed stores. Unknown vertices have
 	// empty neighborhoods, for which every measure is 0. The only error
 	// is an invalid measure.
 	Estimate(m QueryMeasure, u, v uint64) (float64, error)
+
+	// ScoreBatch scores every candidate against u under measure m,
+	// writing the scores into out (grown as needed) aligned with
+	// candidates, and returns it. Scores are bit-identical to per-pair
+	// Estimate calls on a quiescent store. A done that fires before the
+	// scoring finishes returns ErrCanceled, with out unspecified (see
+	// cancel.go for the granularity).
+	ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64, done <-chan struct{}) ([]float64, error)
 
 	// Degree returns the degree estimate of u under the store's degree
 	// mode (total in+out degree on directed stores; windowed KMV
@@ -73,25 +95,6 @@ type Store interface {
 	Save(w io.Writer) error
 }
 
-// BatchIngester is the capability of stores with a batched ingest path
-// (amortized lock acquisition and grouping; see batch.go). Stores
-// without it are fed edge-by-edge.
-type BatchIngester interface {
-	IngestBatch(edges []stream.Edge)
-}
-
-// AsyncBatchIngester is the capability of stores whose batched ingest
-// can be published to a running shard-owner pipeline without waiting
-// for the applies (see pipeline.go): IngestBatchAsync enqueues,
-// FlushIngest is the completion barrier. Both degrade to the
-// synchronous path when no pipeline is running, so callers need no
-// mode check. Batched WAL replay drives recovery through this.
-type AsyncBatchIngester interface {
-	BatchIngester
-	IngestBatchAsync(edges []stream.Edge)
-	FlushIngest()
-}
-
 // Pipeliner is the capability of stores that can run the shard-owner
 // ingest pipeline. StartPipeline reports whether a pipeline is now
 // running (false when workers resolve to synchronous, or one is
@@ -101,15 +104,6 @@ type Pipeliner interface {
 	StartPipeline(workers, ringSize int) bool
 	StopPipeline()
 	PipelineStats() (PipelineStats, bool)
-}
-
-// BatchScorer is the capability of stores with a batched
-// one-source/many-candidates query path (see querybatch.go). out is
-// grown as needed and returned aligned with candidates; scores are
-// bit-identical to per-pair Estimate calls on a quiescent store.
-// Stores without it are scored pair-by-pair.
-type BatchScorer interface {
-	ScoreBatch(m QueryMeasure, u uint64, candidates []uint64, out []float64) ([]float64, error)
 }
 
 // Windower is the capability of time-windowed stores.
@@ -137,22 +131,6 @@ var (
 	_ Store = (*Windowed)(nil)
 	_ Store = (*DynamicStore)(nil)
 
-	_ BatchIngester = (*SketchStore)(nil)
-	_ BatchIngester = (*Sharded)(nil)
-	_ BatchIngester = (*DirectedStore)(nil)
-	_ BatchIngester = (*ShardedDirected)(nil)
-	_ BatchIngester = (*Windowed)(nil)
-	_ BatchIngester = (*DynamicStore)(nil)
-
-	_ BatchScorer = (*SketchStore)(nil)
-	_ BatchScorer = (*Sharded)(nil)
-	_ BatchScorer = (*ShardedDirected)(nil)
-	_ BatchScorer = (*Windowed)(nil)
-	_ BatchScorer = (*DynamicStore)(nil)
-
-	_ AsyncBatchIngester = (*Sharded)(nil)
-	_ AsyncBatchIngester = (*ShardedDirected)(nil)
-
 	_ Pipeliner = (*Sharded)(nil)
 	_ Pipeliner = (*ShardedDirected)(nil)
 
@@ -167,39 +145,37 @@ var (
 // vocabulary differs (ProcessEdge vs ProcessArc, NumEdges vs NumArcs).
 // They are thin aliases, not new behavior.
 
+// ingestEach is IngestBatch for the single-writer stores: one done poll
+// up front, then one apply per edge in order (there is no lock to
+// amortize).
+func ingestEach(edges []stream.Edge, done <-chan struct{}, apply func(stream.Edge)) error {
+	if canceled(done) {
+		return ErrCanceled
+	}
+	for _, e := range edges {
+		apply(e)
+	}
+	return nil
+}
+
 // Ingest folds one edge into the store (alias of ProcessEdge).
 func (s *SketchStore) Ingest(e stream.Edge) { s.ProcessEdge(e) }
 
-// IngestBatch folds a batch of edges (alias of ProcessEdges).
-func (s *SketchStore) IngestBatch(edges []stream.Edge) { s.ProcessEdges(edges) }
+// IngestBatch folds a batch of edges in order; see ingestEach.
+func (s *SketchStore) IngestBatch(edges []stream.Edge, done <-chan struct{}) error {
+	return ingestEach(edges, done, s.ProcessEdge)
+}
 
 // Ingest folds one edge into the store (alias of ProcessEdge). Safe for
 // concurrent use.
 func (s *Sharded) Ingest(e stream.Edge) { s.ProcessEdge(e) }
 
-// IngestBatch folds a batch of edges (alias of ProcessEdges). Safe for
-// concurrent use.
-func (s *Sharded) IngestBatch(edges []stream.Edge) { s.ProcessEdges(edges) }
-
-// IngestBatchAsync publishes a batch to the ingest pipeline without
-// waiting (alias of ProcessEdgesAsync). Safe for concurrent use.
-func (s *Sharded) IngestBatchAsync(edges []stream.Edge) { s.ProcessEdgesAsync(edges) }
-
-// IngestBatchCancel folds a batch with pre-commit cancellation (alias
-// of ProcessEdgesCancel). Safe for concurrent use.
-func (s *Sharded) IngestBatchCancel(edges []stream.Edge, done <-chan struct{}) error {
-	return s.ProcessEdgesCancel(edges, done)
-}
-
 // Ingest folds one arc into the store (alias of ProcessArc).
 func (s *DirectedStore) Ingest(e stream.Edge) { s.ProcessArc(e) }
 
-// IngestBatch folds a batch of arcs, one ProcessArc per element (the
-// single-writer directed store has no lock to amortize).
-func (s *DirectedStore) IngestBatch(arcs []stream.Edge) {
-	for _, e := range arcs {
-		s.ProcessArc(e)
-	}
+// IngestBatch folds a batch of arcs in order; see ingestEach.
+func (s *DirectedStore) IngestBatch(arcs []stream.Edge, done <-chan struct{}) error {
+	return ingestEach(arcs, done, s.ProcessArc)
 }
 
 // Degree returns the total (in+out) degree estimate of u — the
@@ -216,20 +192,6 @@ func (s *DirectedStore) NumEdges() int64 { return s.NumArcs() }
 // concurrent use.
 func (s *ShardedDirected) Ingest(e stream.Edge) { s.ProcessArc(e) }
 
-// IngestBatch folds a batch of arcs (alias of ProcessArcs). Safe for
-// concurrent use.
-func (s *ShardedDirected) IngestBatch(arcs []stream.Edge) { s.ProcessArcs(arcs) }
-
-// IngestBatchAsync publishes a batch of arcs to the ingest pipeline
-// without waiting (alias of ProcessArcsAsync). Safe for concurrent use.
-func (s *ShardedDirected) IngestBatchAsync(arcs []stream.Edge) { s.ProcessArcsAsync(arcs) }
-
-// IngestBatchCancel folds a batch of arcs with pre-commit cancellation
-// (alias of ProcessArcsCancel). Safe for concurrent use.
-func (s *ShardedDirected) IngestBatchCancel(arcs []stream.Edge, done <-chan struct{}) error {
-	return s.ProcessArcsCancel(arcs, done)
-}
-
 // Degree returns the total (in+out) degree estimate of u. Safe for
 // concurrent use; the two sides are read one shard lock at a time.
 func (s *ShardedDirected) Degree(u uint64) float64 {
@@ -243,12 +205,9 @@ func (s *ShardedDirected) NumEdges() int64 { return s.NumArcs() }
 // Ingest folds one edge into the window (alias of ProcessEdge).
 func (w *Windowed) Ingest(e stream.Edge) { w.ProcessEdge(e) }
 
-// IngestBatch folds a batch of edges, one ProcessEdge per element (the
-// single-writer windowed store has no lock to amortize).
-func (w *Windowed) IngestBatch(edges []stream.Edge) {
-	for _, e := range edges {
-		w.ProcessEdge(e)
-	}
+// IngestBatch folds a batch of edges in order; see ingestEach.
+func (w *Windowed) IngestBatch(edges []stream.Edge, done <-chan struct{}) error {
+	return ingestEach(edges, done, w.ProcessEdge)
 }
 
 // NumVertices returns the number of distinct vertices currently live in

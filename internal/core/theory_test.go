@@ -82,7 +82,7 @@ func TestHoeffdingBoundHolds(t *testing.T) {
 		for _, e := range es {
 			s.ProcessEdge(e)
 		}
-		if math.Abs(s.EstimateJaccard(1, 2)-trueJ) > eps {
+		if math.Abs(est(s, QueryJaccard, 1, 2)-trueJ) > eps {
 			violations++
 		}
 	}
@@ -118,7 +118,7 @@ func TestCommonNeighborBoundHolds(t *testing.T) {
 		for _, e := range es {
 			s.ProcessEdge(e)
 		}
-		if math.Abs(s.EstimateCommonNeighbors(1, 2)-trueCN) > bound {
+		if math.Abs(est(s, QueryCommonNeighbors, 1, 2)-trueCN) > bound {
 			violations++
 		}
 	}

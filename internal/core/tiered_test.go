@@ -141,7 +141,7 @@ func TestTieredPromotionAndPrefix(t *testing.T) {
 	if !known || effK != prefix {
 		t.Fatalf("cross-tier pairQuery: effK = %d known=%v, want prefix %d", effK, known, prefix)
 	}
-	if j := tiered.EstimateJaccard(hub, 1); j != float64(matches)/float64(prefix) {
+	if j := est(tiered, QueryJaccard, hub, 1); j != float64(matches)/float64(prefix) {
 		t.Fatalf("cross-tier Jaccard %v inconsistent with %d/%d prefix matches", j, matches, prefix)
 	}
 }
@@ -193,7 +193,7 @@ func TestUniformImagesStayVersion1(t *testing.T) {
 	cfg := Config{K: 16, Seed: 431}
 
 	plain, _ := NewSketchStore(cfg)
-	plain.ProcessEdges(edges)
+	plain.IngestBatch(edges, nil)
 	if v := imageVersion(saveBytes(t, plain.Save)); v != 1 {
 		t.Fatalf("uniform LPSK image version = %d, want 1", v)
 	}
@@ -207,7 +207,7 @@ func TestUniformImagesStayVersion1(t *testing.T) {
 	}
 
 	dyn, _ := NewDynamicStore(cfg, 4)
-	dyn.ProcessEdges(edges)
+	dyn.IngestBatch(edges, nil)
 	if v := imageVersion(saveBytes(t, dyn.Save)); v != 1 {
 		t.Fatalf("uniform LPDY image version = %d, want 1", v)
 	}
@@ -224,7 +224,7 @@ func TestTieredImagesAreVersion2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain.ProcessEdges(edges)
+	plain.IngestBatch(edges, nil)
 	if v := imageVersion(saveBytes(t, plain.Save)); v != 2 {
 		t.Fatalf("tiered LPSK image version = %d, want 2", v)
 	}
@@ -244,7 +244,7 @@ func TestTieredImagesAreVersion2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn.ProcessEdges(edges)
+	dyn.IngestBatch(edges, nil)
 	if v := imageVersion(saveBytes(t, dyn.Save)); v != 2 {
 		t.Fatalf("tiered LPDY image version = %d, want 2", v)
 	}
@@ -258,8 +258,7 @@ func TestTieredRoundTripAllStores(t *testing.T) {
 	edges := skewedEdges(100, 4000, 443)
 	cfg := tieredCfg(449)
 
-	type pairFn func(u, v uint64) float64
-	check := func(t *testing.T, img []byte, cfgGot Config, est, estLoaded pairFn) {
+	check := func(t *testing.T, img []byte, cfgGot Config, m QueryMeasure, orig, loaded Store) {
 		t.Helper()
 		if cfgGot != cfg {
 			t.Fatalf("config round trip: %+v != %+v", cfgGot, cfg)
@@ -267,7 +266,7 @@ func TestTieredRoundTripAllStores(t *testing.T) {
 		x := rng.NewXoshiro256(457)
 		for i := 0; i < 300; i++ {
 			u, v := x.Uint64()%100, x.Uint64()%100
-			if a, b := est(u, v), estLoaded(u, v); a != b {
+			if a, b := est(orig, m, u, v), est(loaded, m, u, v); a != b {
 				t.Fatalf("loaded estimate diverges at (%d,%d): %v != %v", u, v, a, b)
 			}
 		}
@@ -278,7 +277,7 @@ func TestTieredRoundTripAllStores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.ProcessEdges(edges)
+		s.IngestBatch(edges, nil)
 		img := saveBytes(t, s.Save)
 		loaded, err := LoadSketchStore(bytes.NewReader(img))
 		if err != nil {
@@ -287,7 +286,7 @@ func TestTieredRoundTripAllStores(t *testing.T) {
 		if got := saveBytes(t, loaded.Save); !bytes.Equal(got, img) {
 			t.Fatal("re-save differs from original image")
 		}
-		check(t, img, loaded.Config(), s.EstimateJaccard, loaded.EstimateJaccard)
+		check(t, img, loaded.Config(), QueryJaccard, s, loaded)
 		if a, b := s.TierOccupancy(), loaded.TierOccupancy(); len(a) != len(b) || a[0] != b[0] || a[1] != b[1] || a[2] != b[2] {
 			t.Fatalf("TierOccupancy drifted across the round trip: %v != %v", a, b)
 		}
@@ -298,7 +297,7 @@ func TestTieredRoundTripAllStores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.ProcessEdges(edges)
+		s.IngestBatch(edges, nil)
 		img := saveBytes(t, s.Save)
 		loaded, err := LoadSharded(bytes.NewReader(img))
 		if err != nil {
@@ -307,7 +306,7 @@ func TestTieredRoundTripAllStores(t *testing.T) {
 		if got := saveBytes(t, loaded.Save); !bytes.Equal(got, img) {
 			t.Fatal("re-save differs from original image")
 		}
-		check(t, img, loaded.Config(), s.EstimateAdamicAdar, loaded.EstimateAdamicAdar)
+		check(t, img, loaded.Config(), QueryAdamicAdar, s, loaded)
 	})
 
 	t.Run("directed", func(t *testing.T) {
@@ -326,7 +325,7 @@ func TestTieredRoundTripAllStores(t *testing.T) {
 		if got := saveBytes(t, loaded.Save); !bytes.Equal(got, img) {
 			t.Fatal("re-save differs from original image")
 		}
-		check(t, img, loaded.Config(), s.EstimateJaccard, loaded.EstimateJaccard)
+		check(t, img, loaded.Config(), QueryJaccard, s, loaded)
 	})
 
 	t.Run("sharded-directed", func(t *testing.T) {
@@ -334,7 +333,7 @@ func TestTieredRoundTripAllStores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.ProcessArcs(edges)
+		s.IngestBatch(edges, nil)
 		img := saveBytes(t, s.Save)
 		loaded, err := LoadShardedDirected(bytes.NewReader(img))
 		if err != nil {
@@ -343,7 +342,7 @@ func TestTieredRoundTripAllStores(t *testing.T) {
 		if got := saveBytes(t, loaded.Save); !bytes.Equal(got, img) {
 			t.Fatal("re-save differs from original image")
 		}
-		check(t, img, loaded.Config(), s.EstimateCosine, loaded.EstimateCosine)
+		check(t, img, loaded.Config(), QueryCosine, s, loaded)
 	})
 
 	t.Run("windowed", func(t *testing.T) {
@@ -362,7 +361,7 @@ func TestTieredRoundTripAllStores(t *testing.T) {
 		if got := saveBytes(t, loaded.Save); !bytes.Equal(got, img) {
 			t.Fatal("re-save differs from original image")
 		}
-		check(t, img, loaded.Config(), s.EstimateJaccard, loaded.EstimateJaccard)
+		check(t, img, loaded.Config(), QueryJaccard, s, loaded)
 	})
 
 	t.Run("dynamic", func(t *testing.T) {
@@ -370,7 +369,7 @@ func TestTieredRoundTripAllStores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.ProcessEdges(edges)
+		s.IngestBatch(edges, nil)
 		// Delete a slice of the stream so the image carries tombstone-worn
 		// sketches whose tier (from the monotone insert counter) exceeds
 		// what the live arrival count alone would grant.
@@ -385,9 +384,7 @@ func TestTieredRoundTripAllStores(t *testing.T) {
 		if got := saveBytes(t, loaded.Save); !bytes.Equal(got, img) {
 			t.Fatal("re-save differs from original image")
 		}
-		est := func(u, v uint64) float64 { f, _ := s.Estimate(QueryJaccard, u, v); return f }
-		estL := func(u, v uint64) float64 { f, _ := loaded.Estimate(QueryJaccard, u, v); return f }
-		check(t, img, loaded.Config(), est, estL)
+		check(t, img, loaded.Config(), QueryJaccard, s, loaded)
 	})
 }
 
@@ -436,13 +433,13 @@ func TestTieredPipelineMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain.ProcessEdges(edges)
+	plain.IngestBatch(edges, nil)
 
 	seqStore, err := NewSharded(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqStore.ProcessEdges(edges)
+	seqStore.IngestBatch(edges, nil)
 	shardedRegistersEqual(t, seqStore, plain)
 	want := saveBytes(t, seqStore.Save)
 
@@ -460,7 +457,7 @@ func TestTieredPipelineMatchesSequential(t *testing.T) {
 				if hi > len(edges) {
 					hi = len(edges)
 				}
-				s.ProcessEdges(edges[lo:hi])
+				s.IngestBatch(edges[lo:hi], nil)
 			}
 			s.StopPipeline()
 			shardedRegistersEqual(t, s, plain)
@@ -481,7 +478,7 @@ func TestTieredDirectedPipelineMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqStore.ProcessArcs(arcs)
+	seqStore.IngestBatch(arcs, nil)
 	want := saveBytes(t, seqStore.Save)
 
 	for _, workers := range []int{1, 3} {
@@ -498,7 +495,7 @@ func TestTieredDirectedPipelineMatchesSequential(t *testing.T) {
 				if hi > len(arcs) {
 					hi = len(arcs)
 				}
-				s.ProcessArcs(arcs[lo:hi])
+				s.IngestBatch(arcs[lo:hi], nil)
 			}
 			s.StopPipeline()
 			if got := saveBytes(t, s.Save); !bytes.Equal(got, want) {
@@ -554,7 +551,7 @@ func TestTieredLSHBandBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ProcessEdges(skewedEdges(50, 800, 509))
+	s.IngestBatch(skewedEdges(50, 800, 509), nil)
 	if _, err := s.BuildLSHIndex(4, 2); err != nil {
 		t.Fatalf("bands*rows = 8 = tiers[0].K rejected: %v", err)
 	}
@@ -562,7 +559,7 @@ func TestTieredLSHBandBound(t *testing.T) {
 		t.Fatal("bands*rows = 16 > tiers[0].K = 8 accepted on a tiered store")
 	}
 	u, _ := NewSketchStore(Config{K: 32, Seed: 503})
-	u.ProcessEdges(skewedEdges(50, 800, 509))
+	u.IngestBatch(skewedEdges(50, 800, 509), nil)
 	if _, err := u.BuildLSHIndex(4, 4); err != nil {
 		t.Fatalf("bands*rows = 16 <= K = 32 rejected on a uniform store: %v", err)
 	}
@@ -590,7 +587,7 @@ func TestTieredCorruptTierTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ProcessEdges(skewedEdges(30, 400, 523))
+	s.IngestBatch(skewedEdges(30, 400, 523), nil)
 	img := saveBytes(t, s.Save)
 
 	// The tier count u32 sits right after magic(4) + version(4) + K(4) +

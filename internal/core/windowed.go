@@ -289,51 +289,6 @@ func (w *Windowed) Estimate(m QueryMeasure, u, v uint64) (float64, error) {
 	return estimatePair(w, m, u, v)
 }
 
-// EstimateJaccard estimates the Jaccard coefficient of (u, v) over the
-// window.
-func (w *Windowed) EstimateJaccard(u, v uint64) float64 {
-	f, _ := estimatePair(w, QueryJaccard, u, v)
-	return f
-}
-
-// EstimateCommonNeighbors estimates |N(u) ∩ N(v)| over the window.
-func (w *Windowed) EstimateCommonNeighbors(u, v uint64) float64 {
-	f, _ := estimatePair(w, QueryCommonNeighbors, u, v)
-	return f
-}
-
-// EstimateAdamicAdar estimates the Adamic–Adar index over the window
-// with the matched-register estimator, weighting by windowed degrees.
-func (w *Windowed) EstimateAdamicAdar(u, v uint64) float64 {
-	f, _ := estimatePair(w, QueryAdamicAdar, u, v)
-	return f
-}
-
-// EstimateResourceAllocation estimates the resource-allocation index
-// over the window with the matched-register estimator, weighting
-// midpoints by 1/d(w) under the windowed (KMV distinct) degrees, clamped
-// at 2 as in the plain store.
-func (w *Windowed) EstimateResourceAllocation(u, v uint64) float64 {
-	f, _ := estimatePair(w, QueryResourceAllocation, u, v)
-	return f
-}
-
-// EstimatePreferentialAttachment returns d(u)·d(v) under the windowed
-// degree estimates (always KMV distinct counts over the merged
-// generations).
-func (w *Windowed) EstimatePreferentialAttachment(u, v uint64) float64 {
-	f, _ := estimatePair(w, QueryPreferentialAttachment, u, v)
-	return f
-}
-
-// EstimateCosine returns the estimated cosine (Salton) similarity
-// |N(u)∩N(v)| / sqrt(d(u)·d(v)) over the window. Pairs involving
-// vertices absent from every live generation score 0.
-func (w *Windowed) EstimateCosine(u, v uint64) float64 {
-	f, _ := estimatePair(w, QueryCosine, u, v)
-	return f
-}
-
 // MemoryBytes returns the total payload memory across live generations.
 func (w *Windowed) MemoryBytes() int {
 	total := 0

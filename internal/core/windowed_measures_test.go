@@ -41,8 +41,8 @@ func assertWindowedMatchesPlain(t *testing.T, w *Windowed, plain *SketchStore, h
 	}
 	for _, m := range allQueryMeasures {
 		for _, p := range windowedMeasurePairs(hi) {
-			got := seqScore(w, m, p[0], p[1])
-			want := seqScore(plain, m, p[0], p[1])
+			got := est(w, m, p[0], p[1])
+			want := est(plain, m, p[0], p[1])
 			if !sameFloat(got, want) {
 				t.Fatalf("%v(%d,%d) = %v, plain store = %v (must be bit-identical)",
 					m, p[0], p[1], got, want)

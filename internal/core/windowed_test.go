@@ -48,7 +48,7 @@ func TestWindowedForgetsOldEdges(t *testing.T) {
 		w.ProcessEdge(stream.Edge{U: 1, V: i, T: 0})
 		w.ProcessEdge(stream.Edge{U: 2, V: i, T: 0})
 	}
-	if j := w.EstimateJaccard(1, 2); j != 1 {
+	if j := est(w, QueryJaccard, 1, 2); j != 1 {
 		t.Fatalf("fresh overlap Jaccard = %v, want 1", j)
 	}
 	// Advance time far beyond the window with unrelated traffic.
@@ -58,7 +58,7 @@ func TestWindowedForgetsOldEdges(t *testing.T) {
 	if w.Knows(1) || w.Knows(2) {
 		t.Error("vertices from the expired window should be forgotten")
 	}
-	if j := w.EstimateJaccard(1, 2); j != 0 {
+	if j := est(w, QueryJaccard, 1, 2); j != 0 {
 		t.Errorf("expired overlap Jaccard = %v, want 0", j)
 	}
 	if w.Rotations() == 0 {
@@ -78,7 +78,7 @@ func TestWindowedRecentEdgesSurvive(t *testing.T) {
 		w.ProcessEdge(stream.Edge{U: 2, V: i, T: 150})
 	}
 	w.ProcessEdge(stream.Edge{U: 700, V: 701, T: 160})
-	if j := w.EstimateJaccard(1, 2); j != 1 {
+	if j := est(w, QueryJaccard, 1, 2); j != 1 {
 		t.Errorf("recent overlap Jaccard = %v, want 1", j)
 	}
 	if !w.Knows(1) {
@@ -101,7 +101,7 @@ func TestWindowedCrossGenerationMerge(t *testing.T) {
 	for i := uint64(10); i < 30; i++ {
 		w.ProcessEdge(stream.Edge{U: 2, V: i, T: 60})
 	}
-	if j := w.EstimateJaccard(1, 2); j != 1 {
+	if j := est(w, QueryJaccard, 1, 2); j != 1 {
 		t.Errorf("cross-generation Jaccard = %v, want 1", j)
 	}
 	d := w.Degree(1)
@@ -140,7 +140,7 @@ func TestWindowedAccuracyWithinWindow(t *testing.T) {
 		if u == v {
 			continue
 		}
-		sum += math.Abs(w.EstimateJaccard(u, v) - exact.Jaccard(g, u, v))
+		sum += math.Abs(est(w, QueryJaccard, u, v) - exact.Jaccard(g, u, v))
 		n++
 	}
 	if mae := sum / float64(n); mae > 0.06 {
@@ -154,7 +154,7 @@ func TestWindowedAccuracyWithinWindow(t *testing.T) {
 		if u == v || truth < 5 {
 			continue
 		}
-		if est := w.EstimateCommonNeighbors(u, v); math.Abs(est-truth)/truth > 0.5 {
+		if est := est(w, QueryCommonNeighbors, u, v); math.Abs(est-truth)/truth > 0.5 {
 			bad++
 		}
 	}
@@ -171,9 +171,9 @@ func TestWindowedEstimatesValidDuringRotation(t *testing.T) {
 		w.ProcessEdge(stream.Edge{U: u, V: v, T: ts})
 		if ts%7 == 0 {
 			a, b := uint64(x.Intn(50)), uint64(x.Intn(50))
-			j := w.EstimateJaccard(a, b)
-			cn := w.EstimateCommonNeighbors(a, b)
-			aa := w.EstimateAdamicAdar(a, b)
+			j := est(w, QueryJaccard, a, b)
+			cn := est(w, QueryCommonNeighbors, a, b)
+			aa := est(w, QueryAdamicAdar, a, b)
 			if j < 0 || j > 1 || cn < 0 || aa < 0 ||
 				math.IsNaN(j) || math.IsNaN(cn) || math.IsNaN(aa) || math.IsInf(aa, 0) {
 				t.Fatalf("invalid estimate mid-rotation at t=%d: j=%v cn=%v aa=%v", ts, j, cn, aa)
@@ -221,8 +221,8 @@ func TestWindowedSaveLoadRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		u, v := x.Uint64()%100, x.Uint64()%100
-		if w.EstimateJaccard(u, v) != loaded.EstimateJaccard(u, v) ||
-			w.EstimateCommonNeighbors(u, v) != loaded.EstimateCommonNeighbors(u, v) ||
+		if est(w, QueryJaccard, u, v) != est(loaded, QueryJaccard, u, v) ||
+			est(w, QueryCommonNeighbors, u, v) != est(loaded, QueryCommonNeighbors, u, v) ||
 			w.Degree(u) != loaded.Degree(u) {
 			t.Fatalf("loaded windowed store diverges at (%d,%d)", u, v)
 		}
@@ -238,7 +238,7 @@ func TestWindowedSaveLoadRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		u, v := x.Uint64()%100, x.Uint64()%100
-		if w.EstimateJaccard(u, v) != loaded.EstimateJaccard(u, v) {
+		if est(w, QueryJaccard, u, v) != est(loaded, QueryJaccard, u, v) {
 			t.Fatalf("post-resume divergence at (%d,%d)", u, v)
 		}
 	}
@@ -325,7 +325,7 @@ func TestWindowedLargeGapStateMatchesFresh(t *testing.T) {
 			t.Errorf("Degree(%d) = %v, fresh = %v", u, old.Degree(u), fresh.Degree(u))
 		}
 		for v := u + 1; v < 70; v++ {
-			if old.EstimateJaccard(u, v) != fresh.EstimateJaccard(u, v) {
+			if est(old, QueryJaccard, u, v) != est(fresh, QueryJaccard, u, v) {
 				t.Errorf("Jaccard(%d,%d) diverges from fresh store", u, v)
 			}
 		}

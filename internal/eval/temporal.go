@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"linkpred/internal/baseline"
+	"linkpred/internal/core"
 	"linkpred/internal/graph"
 	"linkpred/internal/rng"
 	"linkpred/internal/stream"
@@ -148,19 +149,25 @@ func (r TemporalResult) BootstrapAUC(trials int, level float64, seed uint64) (lo
 // ScoreFunc extracts one measure's estimate from a System.
 type ScoreFunc func(sys baseline.System, u, v uint64) float64
 
+// The three ScoreFuncs below query the paper's target measures, which
+// every System models, so Estimate cannot fail for them.
+
 // ScoreJaccard scores with the Jaccard estimate.
 func ScoreJaccard(sys baseline.System, u, v uint64) float64 {
-	return sys.EstimateJaccard(u, v)
+	s, _ := sys.Estimate(core.QueryJaccard, u, v)
+	return s
 }
 
 // ScoreCommonNeighbors scores with the common-neighbor estimate.
 func ScoreCommonNeighbors(sys baseline.System, u, v uint64) float64 {
-	return sys.EstimateCommonNeighbors(u, v)
+	s, _ := sys.Estimate(core.QueryCommonNeighbors, u, v)
+	return s
 }
 
 // ScoreAdamicAdar scores with the Adamic–Adar estimate.
 func ScoreAdamicAdar(sys baseline.System, u, v uint64) float64 {
-	return sys.EstimateAdamicAdar(u, v)
+	s, _ := sys.Estimate(core.QueryAdamicAdar, u, v)
+	return s
 }
 
 // RunTemporal trains sys on the task's prefix and evaluates the given

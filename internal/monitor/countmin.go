@@ -6,8 +6,8 @@
 // the tail of the stream, and a production ingester wants those numbers
 // continuously.
 //
-// Three classic summaries are implemented from scratch: a Count–Min
-// sketch (approximate per-key counts, used for degree lookups), a
+// Three classic summaries combine here: a Count–Min sketch (approximate
+// per-key counts, used for degree lookups), the candidates package's
 // space-saving heavy-hitter table (the top-degree vertices), and a
 // k-minimum-values distinct counter (distinct edges/vertices under
 // duplication).

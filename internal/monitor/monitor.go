@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 
+	"linkpred/internal/candidates"
 	"linkpred/internal/rng"
 	"linkpred/internal/stream"
 )
@@ -17,7 +18,7 @@ type StreamMonitor struct {
 	vertices *KMV
 	edgeSet  *KMV
 	degrees  *CountMin
-	hitters  *SpaceSaving
+	hitters  *candidates.SpaceSaving
 }
 
 // Config parameterises a StreamMonitor. Zero values select defaults.
@@ -62,7 +63,7 @@ func New(cfg Config) (*StreamMonitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	hitters, err := NewSpaceSaving(cfg.HeavyHitters)
+	hitters, err := candidates.NewSpaceSaving(cfg.HeavyHitters)
 	if err != nil {
 		return nil, err
 	}
@@ -89,8 +90,8 @@ func (m *StreamMonitor) ProcessEdge(e stream.Edge) {
 	m.vertices.Add(e.V)
 	m.degrees.Add(e.U, 1)
 	m.degrees.Add(e.V, 1)
-	m.hitters.Add(e.U, 1)
-	m.hitters.Add(e.V, 1)
+	m.hitters.Observe(e.U)
+	m.hitters.Observe(e.V)
 }
 
 // Degree returns the approximate arrival-degree of u (an overestimate by
@@ -112,12 +113,13 @@ type Report struct {
 	DuplicateRate float64
 	// MeanDegree estimates 2·DistinctEdges / DistinctVertices.
 	MeanDegree float64
-	// TopVertices are the highest-arrival-degree vertices.
-	TopVertices []Entry
+	// TopVertices are the highest-arrival-degree vertices, count-
+	// descending with ties toward smaller ids.
+	TopVertices []candidates.HeavyHitter
 }
 
 // Report returns the current profile. topK selects how many heavy
-// hitters to include.
+// hitters to include (every tracked vertex when topK <= 0).
 func (m *StreamMonitor) Report(topK int) Report {
 	r := Report{
 		Edges:            m.edges,

@@ -72,69 +72,6 @@ func TestCountMinUnseenKeySmall(t *testing.T) {
 	}
 }
 
-func TestSpaceSavingValidation(t *testing.T) {
-	if _, err := NewSpaceSaving(0); err == nil {
-		t.Error("capacity=0 should error")
-	}
-}
-
-func TestSpaceSavingFindsHeavyHitters(t *testing.T) {
-	ss, _ := NewSpaceSaving(20)
-	x := rng.NewXoshiro256(3)
-	// Keys 0..4 are heavy (10k each); 5..1004 are light (~10 each).
-	truth := map[uint64]uint64{}
-	var events []uint64
-	for k := uint64(0); k < 5; k++ {
-		for i := 0; i < 10000; i++ {
-			events = append(events, k)
-		}
-	}
-	for k := uint64(5); k < 1005; k++ {
-		for i := 0; i < 10; i++ {
-			events = append(events, k)
-		}
-	}
-	x.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
-	for _, k := range events {
-		ss.Add(k, 1)
-		truth[k]++
-	}
-	top := ss.Top(5)
-	if len(top) != 5 {
-		t.Fatalf("Top(5) returned %d entries", len(top))
-	}
-	for _, e := range top {
-		if e.Key >= 5 {
-			t.Errorf("light key %d in top-5", e.Key)
-		}
-		// Count within error bound of truth.
-		if e.Count < truth[e.Key] || e.Count-e.Err > truth[e.Key] {
-			t.Errorf("key %d: est %d (err %d) vs truth %d violates guarantee",
-				e.Key, e.Count, e.Err, truth[e.Key])
-		}
-	}
-	if ss.Tracked() > 20 {
-		t.Errorf("tracking %d keys, capacity 20", ss.Tracked())
-	}
-}
-
-func TestSpaceSavingTopOrderDeterministic(t *testing.T) {
-	mk := func() []Entry {
-		ss, _ := NewSpaceSaving(8)
-		x := rng.NewXoshiro256(5)
-		for i := 0; i < 5000; i++ {
-			ss.Add(x.Uint64()%100, 1)
-		}
-		return ss.Top(8)
-	}
-	a, b := mk(), mk()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Top not deterministic")
-		}
-	}
-}
-
 func TestKMVValidationAndExactness(t *testing.T) {
 	if _, err := NewKMV(1, 1); err == nil {
 		t.Error("k=1 should error")
@@ -232,9 +169,9 @@ func TestMonitorHeavyHittersOnHeavyTail(t *testing.T) {
 	}
 	meanDeg := 2 * float64(g.NumEdges()) / float64(g.NumVertices())
 	for _, e := range m.Report(5).TopVertices {
-		if float64(g.Degree(e.Key)) < 5*meanDeg {
+		if float64(g.Degree(e.ID)) < 5*meanDeg {
 			t.Errorf("reported hitter %d has degree %d, mean is %.1f",
-				e.Key, g.Degree(e.Key), meanDeg)
+				e.ID, g.Degree(e.ID), meanDeg)
 		}
 	}
 }

@@ -8,91 +8,14 @@ import (
 	"linkpred/internal/hashing"
 )
 
-// SpaceSaving is Metwally's space-saving heavy-hitter summary: it tracks
-// at most capacity keys and guarantees that any key with true count
-// above N/capacity is present, with count overestimated by at most the
-// minimum tracked count.
-type SpaceSaving struct {
-	capacity int
-	counts   map[uint64]uint64
-	// err[k] bounds the overcount of k (the count it inherited on entry).
-	err map[uint64]uint64
-}
-
-// NewSpaceSaving returns a summary tracking at most capacity keys. It
-// returns an error if capacity < 1.
-func NewSpaceSaving(capacity int) (*SpaceSaving, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("monitor: SpaceSaving needs capacity >= 1, got %d", capacity)
-	}
-	return &SpaceSaving{
-		capacity: capacity,
-		counts:   make(map[uint64]uint64, capacity),
-		err:      make(map[uint64]uint64, capacity),
-	}, nil
-}
-
-// Add increments key's count by delta.
-func (s *SpaceSaving) Add(key uint64, delta uint64) {
-	if _, ok := s.counts[key]; ok {
-		s.counts[key] += delta
-		return
-	}
-	if len(s.counts) < s.capacity {
-		s.counts[key] = delta
-		s.err[key] = 0
-		return
-	}
-	// Evict the minimum-count key; the newcomer inherits its count.
-	var minKey uint64
-	minVal := ^uint64(0)
-	for k, v := range s.counts {
-		if v < minVal || (v == minVal && k < minKey) {
-			minKey, minVal = k, v
-		}
-	}
-	delete(s.counts, minKey)
-	delete(s.err, minKey)
-	s.counts[key] = minVal + delta
-	s.err[key] = minVal
-}
-
-// Entry is one tracked key with its estimated count and error bound
-// (true count ∈ [Count−Err, Count]).
-type Entry struct {
-	Key   uint64
-	Count uint64
-	Err   uint64
-}
-
-// Top returns the k highest-count entries, count-descending with ties
-// toward smaller keys.
-func (s *SpaceSaving) Top(k int) []Entry {
-	out := make([]Entry, 0, len(s.counts))
-	for key, c := range s.counts {
-		out = append(out, Entry{Key: key, Count: c, Err: s.err[key]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// Tracked returns the number of keys currently tracked.
-func (s *SpaceSaving) Tracked() int { return len(s.counts) }
-
-// MemoryBytes returns the payload size of the summary.
-func (s *SpaceSaving) MemoryBytes() int { return 48 * s.capacity }
-
 // KMV is a k-minimum-values distinct counter over 64-bit keys: it keeps
 // the k smallest hash values seen; with m_k the k-th smallest mapped to
 // (0, 1], the distinct count is estimated by (k−1)/m_k.
+//
+// It is a one-hash bottom-k counter over a whole stream. The core
+// package's kmvDistinct is a different estimator — the k-register
+// MinHash estimate over one vertex's sketch, one minimum per hash
+// function — so the two are not duplicates.
 type KMV struct {
 	k    int
 	hash hashing.Mixed

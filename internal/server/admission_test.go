@@ -13,19 +13,18 @@ import (
 	linkpred "linkpred"
 )
 
-// blockingEngine wraps a real engine but parks every ScoreBatch on a
+// blockingEngine wraps a real engine but parks every ScoreBatchCtx on a
 // gate, so tests can hold admission slots occupied for as long as they
-// need. It deliberately does NOT implement CtxQuerier: the handler
-// falls back to the plain path, and the request blocks regardless of
+// need. It deliberately ignores ctx: the request blocks regardless of
 // its deadline — exactly the slow-request convoy admission control
 // exists to shed.
 type blockingEngine struct {
 	linkpred.Engine
-	entered chan struct{} // receives one token per ScoreBatch entry
+	entered chan struct{} // receives one token per ScoreBatchCtx entry
 	release chan struct{} // closed to let the parked calls finish
 }
 
-func (b *blockingEngine) ScoreBatch(m linkpred.Measure, u uint64, cands []uint64) ([]float64, error) {
+func (b *blockingEngine) ScoreBatchCtx(_ context.Context, m linkpred.Measure, u uint64, cands []uint64) ([]float64, error) {
 	select {
 	case b.entered <- struct{}{}:
 	default:
@@ -34,8 +33,9 @@ func (b *blockingEngine) ScoreBatch(m linkpred.Measure, u uint64, cands []uint64
 	return b.Engine.ScoreBatch(m, u, cands)
 }
 
-// ctxBlockingEngine parks ScoreBatch until the request context is done
-// — the cancellable-engine shape, for exercising the 504 path.
+// ctxBlockingEngine parks ScoreBatchCtx and TopKCtx until the request
+// context is done — the cancellable-engine shape, for exercising the
+// 504 path.
 type ctxBlockingEngine struct {
 	linkpred.Engine
 }

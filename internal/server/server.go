@@ -334,24 +334,13 @@ func (s *Server) applyFunc(eng linkpred.Engine) func([]stream.Edge) {
 // pipeline ring is abortable. Monitors are fed only for applied
 // batches.
 func (s *Server) applyCtxFunc(ctx context.Context, eng linkpred.Engine) func([]stream.Edge) error {
-	ci, ok := linkpred.CtxIngesterOf(eng)
-	if !ok {
-		plain := s.applyFunc(eng)
-		return func(batch []stream.Edge) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			plain(batch)
-			return nil
-		}
-	}
 	buf := make([]linkpred.Edge, 0, ingestBatchSize)
 	return func(batch []stream.Edge) error {
 		buf = buf[:0]
 		for _, e := range batch {
 			buf = append(buf, linkpred.Edge{U: e.U, V: e.V, T: e.T})
 		}
-		if err := ci.ObserveEdgesCtx(ctx, buf); err != nil {
+		if err := eng.ObserveEdgesCtx(ctx, buf); err != nil {
 			return err
 		}
 		s.feedMonitors(batch)
@@ -761,13 +750,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	// deterministic ordering, ties toward smaller ids. The request
 	// context rides into the batched scoring pass so an expired deadline
 	// stops the chunk workers mid-query.
-	eng := s.engine()
-	var ranked []linkpred.Candidate
-	if cq, ok := linkpred.CtxQuerierOf(eng); ok {
-		ranked, err = cq.TopKCtx(r.Context(), m, u, cands, k)
-	} else {
-		ranked, err = eng.TopK(m, u, cands, k)
-	}
+	ranked, err := s.engine().TopKCtx(r.Context(), m, u, cands, k)
 	if err != nil {
 		if cancelStatus(err) != 0 {
 			s.writeCancel(w, err, nil)
@@ -830,19 +813,13 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		groups[p.U] = append(groups[p.U], i)
 	}
-	cq, hasCtx := linkpred.CtxQuerierOf(eng)
 	for _, u := range order {
 		idxs := groups[u]
 		cands := make([]uint64, len(idxs))
 		for j, i := range idxs {
 			cands[j] = req.Pairs[i].V
 		}
-		var got []float64
-		if hasCtx {
-			got, err = cq.ScoreBatchCtx(r.Context(), m, u, cands)
-		} else {
-			got, err = eng.ScoreBatch(m, u, cands)
-		}
+		got, err := eng.ScoreBatchCtx(r.Context(), m, u, cands)
 		if err != nil {
 			if cancelStatus(err) != 0 {
 				s.writeCancel(w, err, nil)

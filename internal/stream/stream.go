@@ -101,7 +101,7 @@ func ForEach(src Source, fn func(Edge) error) error {
 // n > 0 with err == nil means buf[:n] is a full (or final) batch;
 // n == 0 with err == io.EOF means the stream is exhausted. This is the
 // bulk analogue of Next, sized for the batched ingest path
-// (core.Sharded.ProcessEdges), which amortizes locking and hashing over
+// (core.Sharded.IngestBatch), which amortizes locking and hashing over
 // whole batches.
 func ReadBatch(src Source, buf []Edge) (int, error) {
 	n := 0

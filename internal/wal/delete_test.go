@@ -312,7 +312,7 @@ func dynDrive(t *testing.T, fs *FaultFS, ops []dynOp) (acked int, boundaries []i
 		if ops[i].del {
 			err = d.IngestDelete(batch, func(b []stream.Edge) { store.DeleteEdges(b) })
 		} else {
-			err = d.Ingest(batch, func(b []stream.Edge) { store.ProcessEdges(b) })
+			err = d.Ingest(batch, func(b []stream.Edge) { store.IngestBatch(b, nil) })
 		}
 		if err != nil {
 			return acked, boundaries, false
@@ -400,7 +400,7 @@ func TestDynamicCrashRecoveryEveryBoundary(t *testing.T) {
 				case KindDelete:
 					store.DeleteEdges(rec.Edges)
 				default:
-					store.ProcessEdges(rec.Edges)
+					store.IngestBatch(rec.Edges, nil)
 				}
 				return nil
 			})

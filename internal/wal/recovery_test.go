@@ -51,7 +51,7 @@ func drive(t *testing.T, fs *FaultFS, edges []stream.Edge, batch, ckptEvery int)
 		return driveResult{}
 	}
 	d := NewDurable(w, "/wal", KindEdge, store.Save)
-	apply := func(b []stream.Edge) { store.ProcessEdges(b) }
+	apply := func(b []stream.Edge) { store.IngestBatch(b, nil) }
 	var res driveResult
 	for i, nb := 0, 0; i < len(edges); i, nb = i+batch, nb+1 {
 		hi := i + batch
@@ -91,7 +91,7 @@ func recoverStore(t *testing.T, fs *FaultFS) (*core.Sharded, RecoverResult) {
 		store = s
 		return nil
 	}, func(rec Record) error {
-		store.ProcessEdges(rec.Edges)
+		store.IngestBatch(rec.Edges, nil)
 		return nil
 	})
 	if err != nil {
@@ -108,7 +108,7 @@ func referenceStore(t *testing.T, edges []stream.Edge) *core.Sharded {
 		t.Fatal(err)
 	}
 	if len(edges) > 0 {
-		ref.ProcessEdges(edges)
+		ref.IngestBatch(edges, nil)
 	}
 	return ref
 }
@@ -125,24 +125,20 @@ func saveBytes(t *testing.T, s *core.Sharded) []byte {
 // checkMeasures compares all six estimators on a sample of pairs.
 func checkMeasures(t *testing.T, got, want *core.Sharded, edges []stream.Edge) {
 	t.Helper()
-	type est struct {
-		name string
-		fn   func(*core.Sharded, uint64, uint64) float64
-	}
-	ests := []est{
-		{"jaccard", (*core.Sharded).EstimateJaccard},
-		{"common-neighbors", (*core.Sharded).EstimateCommonNeighbors},
-		{"adamic-adar", (*core.Sharded).EstimateAdamicAdar},
-		{"resource-allocation", (*core.Sharded).EstimateResourceAllocation},
-		{"preferential-attachment", (*core.Sharded).EstimatePreferentialAttachment},
-		{"cosine", (*core.Sharded).EstimateCosine},
+	measures := []core.QueryMeasure{
+		core.QueryJaccard, core.QueryCommonNeighbors, core.QueryAdamicAdar,
+		core.QueryResourceAllocation, core.QueryPreferentialAttachment, core.QueryCosine,
 	}
 	for i := 0; i < len(edges) && i < 64; i += 7 {
 		u, v := edges[i].U, edges[i].V
-		for _, e := range ests {
-			g, w := e.fn(got, u, v), e.fn(want, u, v)
+		for _, m := range measures {
+			g, gerr := got.Estimate(m, u, v)
+			w, werr := want.Estimate(m, u, v)
+			if gerr != nil || werr != nil {
+				t.Fatal(gerr, werr)
+			}
 			if g != w && !(math.IsNaN(g) && math.IsNaN(w)) {
-				t.Fatalf("%s(%d,%d) = %v, reference %v", e.name, u, v, g, w)
+				t.Fatalf("%v(%d,%d) = %v, reference %v", m, u, v, g, w)
 			}
 		}
 	}
@@ -266,7 +262,7 @@ func TestRecoverySnapshotPlusTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDurable(w, dir, KindEdge, store.Save)
-	apply := func(b []stream.Edge) { store.ProcessEdges(b) }
+	apply := func(b []stream.Edge) { store.IngestBatch(b, nil) }
 	if err := d.Ingest(edges[:3000], apply); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +287,7 @@ func TestRecoverySnapshotPlusTail(t *testing.T) {
 		}
 		return err
 	}, func(rec Record) error {
-		recovered.ProcessEdges(rec.Edges)
+		recovered.IngestBatch(rec.Edges, nil)
 		return nil
 	})
 	if err != nil {
@@ -340,7 +336,7 @@ func TestRecoveryCorruptTrailingBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDurable(w, dir, KindEdge, store.Save)
-	if err := d.Ingest(edges, func(b []stream.Edge) { store.ProcessEdges(b) }); err != nil {
+	if err := d.Ingest(edges, func(b []stream.Edge) { store.IngestBatch(b, nil) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -363,7 +359,7 @@ func TestRecoveryCorruptTrailingBytes(t *testing.T) {
 		}
 		return err
 	}, func(rec Record) error {
-		recovered.ProcessEdges(rec.Edges)
+		recovered.IngestBatch(rec.Edges, nil)
 		return nil
 	})
 	if err != nil {
@@ -404,7 +400,7 @@ func TestDurableConcurrentIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDurable(w, dir, KindEdge, store.Save)
-	apply := func(b []stream.Edge) { store.ProcessEdges(b) }
+	apply := func(b []stream.Edge) { store.IngestBatch(b, nil) }
 	var wg sync.WaitGroup
 	const writers = 4
 	per := len(edges) / writers
@@ -448,7 +444,7 @@ func TestDurableConcurrentIngest(t *testing.T) {
 		}
 		return err
 	}, func(rec Record) error {
-		recovered.ProcessEdges(rec.Edges)
+		recovered.IngestBatch(rec.Edges, nil)
 		return nil
 	})
 	if err != nil {
@@ -479,7 +475,7 @@ func TestDurableHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDurable(w, "/wal", KindEdge, store.Save)
-	apply := func(b []stream.Edge) { store.ProcessEdges(b) }
+	apply := func(b []stream.Edge) { store.IngestBatch(b, nil) }
 	if err := d.Ingest(testEdges(47, 100), apply); err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func tieredDrive(t *testing.T, fs *FaultFS, edges []stream.Edge, batch, ckptEver
 		return driveResult{}
 	}
 	d := NewDurable(w, "/wal", KindEdge, store.Save)
-	apply := func(b []stream.Edge) { store.ProcessEdges(b) }
+	apply := func(b []stream.Edge) { store.IngestBatch(b, nil) }
 	var res driveResult
 	for i, nb := 0, 0; i < len(edges); i, nb = i+batch, nb+1 {
 		hi := i + batch
@@ -98,7 +98,7 @@ func tieredRecoverStore(t *testing.T, fs *FaultFS) (*core.Sharded, RecoverResult
 		store = s
 		return nil
 	}, func(rec Record) error {
-		store.ProcessEdges(rec.Edges)
+		store.IngestBatch(rec.Edges, nil)
 		return nil
 	})
 	if err != nil {
@@ -114,7 +114,7 @@ func tieredReferenceStore(t *testing.T, edges []stream.Edge) *core.Sharded {
 		t.Fatal(err)
 	}
 	if len(edges) > 0 {
-		ref.ProcessEdges(edges)
+		ref.IngestBatch(edges, nil)
 	}
 	return ref
 }
@@ -217,7 +217,7 @@ func TestTieredReplayByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDurable(w, dir, KindEdge, store.Save)
-	apply := func(b []stream.Edge) { store.ProcessEdges(b) }
+	apply := func(b []stream.Edge) { store.IngestBatch(b, nil) }
 	if err := d.Ingest(edges[:1700], apply); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestTieredReplayByteIdentity(t *testing.T) {
 		}
 		return err
 	}, func(rec Record) error {
-		recovered.ProcessEdges(rec.Edges)
+		recovered.IngestBatch(rec.Edges, nil)
 		return nil
 	})
 	if err != nil {
