@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"linkpred/internal/candidates"
 	"linkpred/internal/gen"
 	"linkpred/internal/graph"
 	"linkpred/internal/rng"
@@ -69,6 +70,80 @@ func TestCountMinUnseenKeySmall(t *testing.T) {
 	// An unseen key's estimate is pure collision noise: small.
 	if got := cm.Count(1 << 60); got > 30 {
 		t.Errorf("unseen key count = %d, want near 0", got)
+	}
+}
+
+// The heavy-hitter tests below exercise candidates.SpaceSaving through
+// the operations StreamMonitor relies on: rejection of an empty table,
+// finding the heavy vertices of a shuffled stream, and a deterministic
+// Top order.
+
+func TestSpaceSavingValidation(t *testing.T) {
+	if _, err := candidates.NewSpaceSaving(0); err == nil {
+		t.Error("capacity=0 should error")
+	}
+	if _, err := New(Config{HeavyHitters: -1}); err == nil {
+		t.Error("HeavyHitters=-1 should error")
+	}
+}
+
+func TestSpaceSavingFindsHeavyHitters(t *testing.T) {
+	ss, _ := candidates.NewSpaceSaving(20)
+	x := rng.NewXoshiro256(3)
+	// Keys 0..4 are heavy (10k each); 5..1004 are light (~10 each).
+	truth := map[uint64]int64{}
+	var events []uint64
+	for k := uint64(0); k < 5; k++ {
+		for i := 0; i < 10000; i++ {
+			events = append(events, k)
+		}
+	}
+	for k := uint64(5); k < 1005; k++ {
+		for i := 0; i < 10; i++ {
+			events = append(events, k)
+		}
+	}
+	x.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
+	for _, k := range events {
+		ss.Observe(k)
+		truth[k]++
+	}
+	top := ss.Top(5)
+	if len(top) != 5 {
+		t.Fatalf("Top(5) returned %d entries", len(top))
+	}
+	for _, e := range top {
+		if e.ID >= 5 {
+			t.Errorf("light key %d in top-5", e.ID)
+		}
+		// Count within error bound of truth.
+		if e.Count < truth[e.ID] || e.Count-e.Err > truth[e.ID] {
+			t.Errorf("key %d: est %d (err %d) vs truth %d violates guarantee",
+				e.ID, e.Count, e.Err, truth[e.ID])
+		}
+	}
+	if ss.Len() > 20 {
+		t.Errorf("tracking %d keys, capacity 20", ss.Len())
+	}
+}
+
+func TestSpaceSavingTopOrderDeterministic(t *testing.T) {
+	mk := func() []candidates.HeavyHitter {
+		ss, _ := candidates.NewSpaceSaving(8)
+		x := rng.NewXoshiro256(5)
+		for i := 0; i < 5000; i++ {
+			ss.Observe(x.Uint64() % 100)
+		}
+		return ss.Top(8)
+	}
+	a, b := mk(), mk()
+	if len(a) != len(b) {
+		t.Fatalf("Top sizes diverge: %d != %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatal("Top not deterministic")
+		}
 	}
 }
 
